@@ -201,18 +201,38 @@ class Multigraph:
     def bridges(self) -> set[int]:
         """Edge ids whose removal disconnects their endpoints.
 
-        Loops and edges with a parallel sibling are never bridges. Quadratic,
-        which is fine at the instance sizes this package is built for.
+        Loops and edges with a parallel sibling are never bridges. Tarjan's
+        lowlink in one iterative depth-first pass, O(n + m): the search skips
+        only the edge id it arrived by, so a parallel sibling of that edge
+        counts as a back edge.
         """
+        order: dict[int, int] = {}
+        low: dict[int, int] = {}
         out = set()
-        for eid in sorted(self.edges):
-            u, v = self.edges[eid]
-            if u == v:
+        for root in self._inc:
+            if root in order:
                 continue
-            if len(self.edges_between(u, v)) > 1:
-                continue
-            if not self.path_exists(u, v, banned_edges=frozenset([eid])):
-                out.add(eid)
+            order[root] = low[root] = len(order)
+            stack = [(root, -1, iter(self._inc[root]))]
+            while stack:
+                v, via, it = stack[-1]
+                for eid in it:
+                    if eid == via:
+                        continue
+                    a, b = self.edges[eid]
+                    w = b if a == v else a
+                    if w not in order:
+                        order[w] = low[w] = len(order)
+                        stack.append((w, eid, iter(self._inc[w])))
+                        break
+                    low[v] = min(low[v], order[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] > order[u]:
+                            out.add(via)
         return out
 
 

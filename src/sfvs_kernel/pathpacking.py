@@ -1,19 +1,21 @@
-"""Vertex-disjoint path packings: Menger-style s-t paths and open A-paths.
+"""Vertex-disjoint path packings: unit-capacity flow and open A-paths.
 
 The A-path machinery reduces to maximum matching on an auxiliary graph where
 every vertex outside A is split into an adjacent twin pair: a packing of t
-A-paths corresponds to a matching of size (#non-A vertices) + t. The
-packing-or-blocker routine extracts a Tutte-Berge witness from the
-Gallai-Edmonds decomposition of that auxiliary graph, closes it under the twin
-exchange, and reads off a blocker of size at most twice the maximum packing.
+A-paths corresponds to a matching of size (#non-A vertices) + t. One run of
+Edmonds' blossom algorithm on that graph, over integer node ids, gives
+everything the packing-or-blocker routine needs. The matching projects to a
+maximum packing. Its last alternating search, grown from every exposed node,
+finds no augmenting path, and the nodes it labels even are the Gallai-Edmonds
+set D: the nodes some maximum matching leaves exposed. N(D) - D is a
+Tutte-Berge witness; closed under the twin exchange, it gives a blocker of
+size at most twice the maximum packing.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
-
-import networkx as nx
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .multigraph import Multigraph
 
@@ -109,98 +111,189 @@ def _unit_flow_paths(vertices: Sequence[int],
     return paths
 
 
-def max_vertex_disjoint_st_paths(g: Multigraph, sources: Iterable[int],
-                                 sinks: Iterable[int],
-                                 cutoff: Optional[int] = None) -> PathPacking:
-    """Fully vertex-disjoint paths between two vertex sets of a multigraph.
-
-    Endpoints are consumed too; a vertex in both sets contributes a length-0
-    path. Parallel edges and loops do not matter for vertex-disjointness.
-    """
-    src = [v for v in sources if g.has_vertex(v)]
-    snk = [v for v in sinks if g.has_vertex(v)]
-    paths = _unit_flow_paths(g.vertices(), g.neighbors, src, snk, cutoff)
-    return PathPacking(paths)
-
-
-def max_disjoint_directed_paths(vertices: Sequence[int],
-                                out_neighbors: Callable[[int], Iterable[int]],
-                                sources: Iterable[int],
-                                sinks: Iterable[int]) -> PathPacking:
-    return PathPacking(_unit_flow_paths(vertices, out_neighbors, sources, sinks))
-
-
 # -- A-paths -----------------------------------------------------------------
 
 
-def _apath_aux_graph(g: Multigraph, a: frozenset[int]) -> nx.Graph:
-    aux = nx.Graph()
-    for v in g.vertices():
-        if v in a:
-            aux.add_node(("a", v))
-        else:
-            aux.add_node(("c", v, 1))
-            aux.add_node(("c", v, 2))
-            aux.add_edge(("c", v, 1), ("c", v, 2))
-    for eid in sorted(g.edges):
-        u, v = g.edges[eid]
+@dataclass
+class _TwinGraph:
+    """The auxiliary graph of (g, A) over ints.
+
+    The i-th vertex outside A, in sorted order, has the twin copies 2i and
+    2i + 1, so the twin of a copy x is x ^ 1. The vertices of A follow from
+    `first_a` on, one node each. `node_of` maps a vertex of g to its first
+    node and `owner` maps each node back to its vertex.
+    """
+    adj: list[list[int]]
+    owner: list[int]
+    node_of: dict[int, int]
+    first_a: int
+
+
+def _apath_aux_graph(g: Multigraph, a: frozenset[int]) -> _TwinGraph:
+    inner = [v for v in g.vertices() if v not in a]
+    outer = sorted(a)
+    first_a = 2 * len(inner)
+    owner = [v for v in inner for _ in (0, 1)] + outer
+    node_of = {v: 2 * i for i, v in enumerate(inner)}
+    node_of.update((v, first_a + j) for j, v in enumerate(outer))
+
+    def copies(v: int) -> tuple[int, ...]:
+        x = node_of[v]
+        return (x, x + 1) if x < first_a else (x,)
+
+    nbrs: list[set[int]] = [set() for _ in owner]
+    for x in range(0, first_a, 2):
+        nbrs[x].add(x + 1)
+        nbrs[x + 1].add(x)
+    for u, v in g.edges.values():
         if u == v:
             continue
-        un = [("a", u)] if u in a else [("c", u, 1), ("c", u, 2)]
-        vn = [("a", v)] if v in a else [("c", v, 1), ("c", v, 2)]
-        for x in un:
-            for y in vn:
-                aux.add_edge(x, y)
-    return aux
+        for x in copies(u):
+            for y in copies(v):
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+    return _TwinGraph([sorted(s) for s in nbrs], owner, node_of, first_a)
 
 
-def _max_matching(aux: nx.Graph) -> set[frozenset]:
-    raw = nx.max_weight_matching(aux, maxcardinality=True)
-    return {frozenset(e) for e in raw}
+def _blossom_matching(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[bool]]:
+    """Maximum cardinality matching of a simple graph (Edmonds 1965).
+
+    Returns `mate` (-1 for an exposed node) and the even labels of the last
+    alternating search, the one that found no augmenting path. Those even
+    nodes are the Gallai-Edmonds set D: the nodes that some maximum matching
+    leaves exposed.
+    """
+    mate = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):  # greedy start
+        if mate[v] < 0:
+            for w in nbrs:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    while True:
+        path, even = _alternating_search(adj, mate)
+        if path is None:
+            return mate, even
+        for x, y in zip(path[::2], path[1::2]):
+            mate[x], mate[y] = y, x
 
 
-def _project_apaths(g: Multigraph, a: frozenset[int],
-                    matching: set[frozenset]) -> list[list[int]]:
+def _alternating_search(adj: Sequence[Sequence[int]], mate: list[int]
+                        ) -> tuple[Optional[list[int]], list[bool]]:
+    """Grow alternating trees from every exposed node at once, contracting
+    blossoms, until an edge joins the even nodes of two trees.
+
+    Returns that augmenting path (root to root), or None once no even node
+    has an edge left to scan, together with the even labels. The search keeps
+    `base`, the base of the outermost blossom holding each node, and `parent`:
+    on an odd node its unmatched tree edge towards the root, on an even node
+    of a blossom's cycle the unmatched cycle edge that leads round to the base
+    the other way. From any even node v the path to its root is then v,
+    mate[v], parent[mate[v]], mate[...], ... .
+    """
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    even = [mate[v] < 0 for v in range(n)]
+    queue = deque(v for v in range(n) if even[v])
+
+    def root_path(v: int) -> list[int]:
+        path = [v]
+        while mate[v] >= 0:
+            x = mate[v]
+            v = parent[x]
+            path += (x, v)
+        return path
+
+    def common_base(v: int, w: int) -> int:
+        """Base of the nearest common blossom of v and w, -1 across trees."""
+        seen = set()
+        while True:
+            v = base[v]
+            seen.add(v)
+            if mate[v] < 0:
+                break
+            v = parent[mate[v]]
+        while True:
+            w = base[w]
+            if w in seen:
+                return w
+            if mate[w] < 0:
+                return -1
+            w = parent[mate[w]]
+
+    def mark_cycle(v: int, b: int, child: int, inside: set[int]) -> None:
+        while base[v] != b:
+            inside.add(base[v])
+            inside.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if even[w]:
+                b = common_base(v, w)
+                if b < 0:
+                    return root_path(v)[::-1] + root_path(w), even
+                inside: set[int] = set()
+                mark_cycle(v, b, w, inside)
+                mark_cycle(w, b, v, inside)
+                for x in range(n):
+                    if base[x] in inside:
+                        base[x] = b
+                        if not even[x]:
+                            even[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                # w is matched, since every exposed node is a root
+                parent[w] = v
+                even[mate[w]] = True
+                queue.append(mate[w])
+    return None, even
+
+
+def _project_apaths(aux: _TwinGraph, mate: list[int]) -> list[list[int]]:
     """Recover A-paths from a maximum matching of the auxiliary graph.
 
     The symmetric difference with the all-twins matching decomposes into
     alternating paths; each component with a surplus matching edge runs between
-    two A-nodes and projects to one A-path.
+    two A-nodes and projects to one A-path. From an A-node the walk takes the
+    matching edge, then each copy's twin edge and the twin's matching edge.
     """
-    twins = {frozenset([("c", v, 1), ("c", v, 2)])
-             for v in g.vertices() if v not in a}
-    diff = (matching | twins) - (matching & twins)
-    adj: dict[Hashable, list[Hashable]] = {}
-    for e in diff:
-        x, y = tuple(e)
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-
     paths = []
-    seen: set[Hashable] = set()
-    ends = sorted((x for x, nbrs in adj.items() if len(nbrs) == 1), key=str)
-    for start in ends:
-        if start in seen or start[0] != "a":
+    ends: set[int] = set()
+    for s in range(aux.first_a, len(mate)):
+        if s in ends:
             continue
-        walk = [start]
-        seen.add(start)
-        while True:
-            nxt = [y for y in adj[walk[-1]] if y not in seen]
-            if not nxt:
-                break
-            seen.add(nxt[0])
-            walk.append(nxt[0])
-        if walk[-1][0] != "a":
+        path = [aux.owner[s]]
+        x = mate[s]
+        while 0 <= x < aux.first_a:
+            path.append(aux.owner[x])
+            x = mate[x ^ 1]
+        if x < 0:
             continue  # surplus-free component
-        if frozenset([walk[0], walk[1]]) not in matching:
-            continue
-        proj = []
-        for node in walk:
-            v = node[1]
-            if not proj or proj[-1] != v:
-                proj.append(v)
-        paths.append(proj)
+        ends.add(x)
+        path.append(aux.owner[x])
+        paths.append(path)
     return paths
+
+
+def _match_apaths(g: Multigraph, a: frozenset[int]
+                  ) -> tuple[_TwinGraph, list[bool], list[list[int]]]:
+    """One blossom run on the auxiliary graph: the graph, the even labels of
+    its last search, and the maximum A-path packing it projects to."""
+    aux = _apath_aux_graph(g, a)
+    mate, even = _blossom_matching(aux.adj)
+    t = sum(1 for x in mate if x >= 0) // 2 - aux.first_a // 2
+    paths = _project_apaths(aux, mate)
+    if len(paths) != t:
+        raise AssertionError(f"matching promised {t} paths, projected {len(paths)}")
+    verify_apaths(g, a, paths)
+    return aux, even, paths
 
 
 def verify_apaths(g: Multigraph, a: frozenset[int], paths: Sequence[Sequence[int]]) -> None:
@@ -225,14 +318,7 @@ def max_disjoint_apaths(g: Multigraph, a: Iterable[int]) -> PathPacking:
     aset = frozenset(v for v in a if g.has_vertex(v))
     if len(aset) < 2:
         return PathPacking([])
-    aux = _apath_aux_graph(g, aset)
-    matching = _max_matching(aux)
-    t = len(matching) - sum(1 for v in g.vertices() if v not in aset)
-    paths = _project_apaths(g, aset, matching)
-    if len(paths) != t:
-        raise AssertionError(f"matching promised {t} paths, projected {len(paths)}")
-    verify_apaths(g, aset, paths)
-    return PathPacking(paths)
+    return PathPacking(_match_apaths(g, aset)[2])
 
 
 def exists_apath(g: Multigraph, a: frozenset[int],
@@ -272,22 +358,25 @@ def gallai_blocker_or_packing(g: Multigraph, a: Iterable[int], k: int) -> Gallai
     inspection, the blocker by checking that no A-path survives it.
     """
     aset = frozenset(v for v in a if g.has_vertex(v))
-    packing = max_disjoint_apaths(g, aset)
-    if len(packing) >= k + 1:
-        return GallaiResult(PathPacking(packing.paths[:k + 1]), None)
+    paths: list[list[int]] = []
+    if len(aset) >= 2:
+        aux, even, paths = _match_apaths(g, aset)
+    if len(paths) >= k + 1:
+        return GallaiResult(PathPacking(paths[:k + 1]), None)
 
-    t = len(packing)
+    t = len(paths)
     if t == 0:
         return GallaiResult(None, frozenset())
 
-    aux = _apath_aux_graph(g, aset)
-    nu = len(_max_matching(aux))
-    witness = _gallai_edmonds_witness(aux, nu)
+    nu = aux.first_a // 2 + t
+    witness = {y for x, nbrs in enumerate(aux.adj) if even[x]
+               for y in nbrs if not even[y]}
     witness = _close_under_twins(aux, witness, nu)
 
-    b_u = {v for v in aset if ("a", v) in witness}
+    # the closed witness holds whole twin pairs only
+    b_u = {v for v in aset if aux.node_of[v] in witness}
     b_u |= {v for v in g.vertices() if v not in aset
-            and ("c", v, 1) in witness and ("c", v, 2) in witness}
+            and aux.node_of[v] in witness}
 
     blocker = set(b_u)
     rest = [v for v in g.vertices() if v not in b_u]
@@ -302,52 +391,41 @@ def gallai_blocker_or_packing(g: Multigraph, a: Iterable[int], k: int) -> Gallai
     return GallaiResult(None, frozenset(blocker))
 
 
-def _gallai_edmonds_witness(aux: nx.Graph, nu: int) -> set:
-    """The set A* of the Gallai-Edmonds decomposition: N(D) - D, where D are
-    the vertices some maximum matching leaves exposed."""
-    d = set()
-    for x in sorted(aux.nodes, key=str):
-        h = aux.copy()
-        h.remove_node(x)
-        if len(_max_matching(h)) == nu:
-            d.add(x)
-    star = set()
-    for x in d:
-        for y in aux.neighbors(x):
-            if y not in d:
-                star.add(y)
-    return star
-
-
-def _close_under_twins(aux: nx.Graph, witness: set, nu: int) -> set:
+def _close_under_twins(aux: _TwinGraph, witness: set[int], nu: int) -> set[int]:
     """Drop lone twin copies from the witness; the Tutte-Berge value is kept.
 
     For a twin pair with exactly one copy in the witness, removing that copy
     merges it into its twin's component, which must be odd for a minimizer, so
-    the expression |U| - odd(aux - U) is unchanged.
+    the expression |U| - odd(aux - U) is unchanged. Dropping a copy leaves
+    every other copy as lone as it was, so the order does not matter.
     """
     u = set(witness)
-    target = _tutte_berge(aux, u)
-    if target != nu:
+    if _tutte_berge(aux.adj, u) != nu:
         raise AssertionError("witness does not certify the matching number")
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(u, key=str):
-            if x[0] != "c":
-                continue
-            twin = ("c", x[1], 3 - x[2])
-            if twin not in u:
-                u.discard(x)
-                if _tutte_berge(aux, u) != nu:
-                    raise AssertionError("twin closure broke the witness")
-                changed = True
-                break
+    for x in sorted(witness):
+        if x < aux.first_a and x ^ 1 not in witness:
+            u.discard(x)
+            if _tutte_berge(aux.adj, u) != nu:
+                raise AssertionError("twin closure broke the witness")
     return u
 
 
-def _tutte_berge(aux: nx.Graph, u: set) -> int:
-    h = aux.copy()
-    h.remove_nodes_from(u)
-    odd = sum(1 for comp in nx.connected_components(h) if len(comp) % 2 == 1)
-    return (aux.number_of_nodes() + len(u) - odd) // 2
+def _tutte_berge(adj: Sequence[Sequence[int]], u: set[int]) -> int:
+    """(|V| + |U| - odd(G - U)) / 2, the Tutte-Berge bound of the set U."""
+    seen = set(u)
+    odd = 0
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        odd += size % 2
+    return (len(adj) + len(u) - odd) // 2

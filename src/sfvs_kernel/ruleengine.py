@@ -229,10 +229,13 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
         out.add(x)
 
     vs = {v for eid in s for v in g.endpoints(eid)}
-    assert out <= inner_union - vs
-    assert len(out) <= 2 * k
-    assert not exists_apath(gz, set(pid_of.values()), out), \
-        "replacement vertices must still block every leaf-to-leaf path"
+    if not out <= inner_union - vs:
+        raise AssertionError("blocker leaves the inner bubbles or touches V(S)")
+    if len(out) > 2 * k:
+        raise AssertionError("blocker exceeds 2k vertices")
+    if exists_apath(gz, set(pid_of.values()), out):
+        raise AssertionError(
+            "replacement vertices must still block every leaf-to-leaf path")
     return frozenset(out)
 
 

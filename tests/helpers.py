@@ -2,6 +2,8 @@
 import itertools
 from typing import Optional
 
+import networkx as nx
+
 from sfvs_kernel.multigraph import Instance, Multigraph, PairInstance, is_solution
 
 
@@ -97,6 +99,20 @@ def brute_nu(g: Multigraph, a) -> int:
 
     pack(0, set(), 0)
     return best
+
+
+def gallai_edmonds_d(adj) -> list[bool]:
+    """x is in D iff nu(G - x) = nu(G): one maximum matching per node."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((x, y) for x, nbrs in enumerate(adj) for y in nbrs)
+    nu = len(nx.max_weight_matching(g, maxcardinality=True))
+    d = []
+    for x in range(len(adj)):
+        h = g.copy()
+        h.remove_node(x)
+        d.append(len(nx.max_weight_matching(h, maxcardinality=True)) == nu)
+    return d
 
 
 def as_pair_free(inst: Instance) -> PairInstance:

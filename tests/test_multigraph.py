@@ -82,6 +82,28 @@ def test_bridges_match_reference(seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_bridges_on_a_deep_path_with_parallels(seed):
+    # the path is deeper than the interpreter's default recursion limit
+    rng = random.Random(seed)
+    n = rng.randint(1200, 2500)
+    g = Multigraph.from_edges(range(1, n + 1), [(v, v + 1) for v in range(1, n)])
+    doubled = {v: g.add_edge(v, v + 1) for v in rng.sample(range(1, n), 30)}
+    for v in rng.sample(range(1, n + 1), 10):
+        g.add_edge(v, v)
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        g.add_edge(u, v)
+    expect = set()
+    for u, v in nx.bridges(skeleton(g)):
+        eids = g.edges_between(u, v)
+        if len(eids) == 1:
+            expect.add(eids[0])
+    assert g.bridges() == expect
+    assert not expect & set(doubled.values())
+
+
+@given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_shortest_path_is_shortest(seed):
     rng = random.Random(seed)
