@@ -8,6 +8,7 @@ stay cheap.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 PRIME = (1 << 61) - 1
@@ -32,6 +33,13 @@ class FieldMatrix:
                 raise ValueError("ncols does not match rows")
         else:
             self.ncols = 0 if ncols is None else ncols
+
+    @classmethod
+    def _wrap(cls, rows: list[list[int]], ncols: int) -> "FieldMatrix":
+        """Adopt rows that are already reduced mod p and of width ncols."""
+        m = cls.__new__(cls)
+        m.rows, m.ncols = rows, ncols
+        return m
 
     @property
     def nrows(self) -> int:
@@ -59,31 +67,28 @@ class FieldMatrix:
         return FieldMatrix([[row[j] for j in js] for row in self.rows], len(js))
 
     def rref(self) -> tuple["FieldMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form and its pivot columns (Gauss-Jordan)."""
         m = [list(r) for r in self.rows]
         pivots: list[int] = []
         r = 0
         for col in range(self.ncols):
-            sel = None
-            for i in range(r, len(m)):
-                if m[i][col]:
-                    sel = i
-                    break
+            if r == len(m):
+                break
+            sel = next((i for i in range(r, len(m)) if m[i][col]), None)
             if sel is None:
                 continue
             m[r], m[sel] = m[sel], m[r]
-            iv = inverse(m[r][col])
-            m[r] = [x * iv % PRIME for x in m[r]]
             lead = m[r]
-            for i in range(len(m)):
-                if i != r and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], lead)]
+            iv = inverse(lead[col])
+            tail = [x * iv % PRIME for x in lead[col:]]
+            lead[col:] = tail
+            for i, row in enumerate(m):
+                f = row[col]
+                if f and i != r:
+                    _sub_multiple(row, col, f, tail)
             pivots.append(col)
             r += 1
-            if r == len(m):
-                break
-        return FieldMatrix(m, self.ncols), pivots
+        return FieldMatrix._wrap(m, self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -140,22 +145,25 @@ def wedge3_coordinates(a: Sequence[int], b: Sequence[int], c: Sequence[int],
 
 
 class IncrementalBasis:
-    """Grow a basis one vector at a time; add() reports linear independence."""
+    """Grow a basis one vector at a time; add() reports linear independence.
+
+    Rows are kept in echelon form, sorted by pivot column. Each row is stored
+    from its pivot (a 1) rightward; left of it the row is zero.
+    """
 
     def __init__(self) -> None:
-        self._rows: list[list[int]] = []
-        self._pivot_of: dict[int, int] = {}  # pivot column -> row index
+        self._pivots: list[int] = []
+        self._tails: list[list[int]] = []
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
         v = [x % PRIME for x in vec]
-        for col, ri in sorted(self._pivot_of.items()):
-            if v[col]:
-                f = v[col]
-                row = self._rows[ri]
-                v = [(x - f * y) % PRIME for x, y in zip(v, row)]
+        for col, tail in zip(self._pivots, self._tails):
+            f = v[col]
+            if f:
+                _sub_multiple(v, col, f, tail)
         return v
 
     def add(self, vec: Sequence[int]) -> bool:
@@ -164,9 +172,18 @@ class IncrementalBasis:
         if pivot is None:
             return False
         iv = inverse(v[pivot])
-        self._pivot_of[pivot] = len(self._rows)
-        self._rows.append([x * iv % PRIME for x in v])
+        i = bisect_left(self._pivots, pivot)
+        self._pivots.insert(i, pivot)
+        self._tails.insert(i, [x * iv % PRIME for x in v[pivot:]])
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.reduce(vec))
+
+
+def _sub_multiple(row: list[int], col: int, f: int, tail: Sequence[int]) -> None:
+    """row -= f * lead in place, where lead is zero left of col and tail is
+    lead[col:]. The one row update behind rref (and so rank and dualize) and
+    IncrementalBasis: columns left of col do not change, so they are skipped."""
+    row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], tail)]
+

@@ -90,7 +90,9 @@ def _algebraic_lower_bound(d: Digraph, sources: list[int],
             for j in range(dim):
                 y[i][j] = (y[i][j] + x * (bp[i] * bq[j] - bq[i] * bp[j])) % PRIME
     r = FieldMatrix(y, dim).rank()
-    assert r % 2 == 0, "antisymmetric matrices have even rank over a big prime field"
+    if r % 2:
+        raise AssertionError("antisymmetric matrices have even rank over a big "
+                             "prime field")
     return r // 2
 
 

@@ -6,14 +6,19 @@ itself by a length-0 path). The representation goes through the classical
 dual-of-transversal construction: build the bipartite link graph (arc (u, w)
 gives an edge from u to the copy of w; every non-source also gets an edge to
 its own copy), fill a random matrix over F_p on its support, and dualize.
+One row reduction of that matrix gives both its full-rank test and the dual.
+
+Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
+added to the digraph: add_sink_copies appends them as random combinations of
+existing columns, so the elimination runs on the original vertices only.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .fieldlinalg import PRIME, FieldMatrix, IncrementalBasis, dualize
+from .fieldlinalg import PRIME, FieldMatrix, dualize
 from .multigraph import Multigraph
 from .pathpacking import _unit_flow_paths
 
@@ -33,9 +38,6 @@ class Digraph:
             if u not in vset or w not in vset:
                 raise ValueError("arc endpoint outside vertex set")
         return cls(vs, arcset)
-
-    def out_neighbors(self, v: Hashable) -> list[Hashable]:
-        return sorted((w for u, w in self.arcs if u == v), key=str)
 
 
 def linked(d: Digraph, sources: Iterable[Hashable], t: Iterable[Hashable]) -> bool:
@@ -103,37 +105,54 @@ def represent(d: Digraph, sources: Iterable[Hashable],
         mat = FieldMatrix.zeros(len(non_sources), len(vs))
         for i, j in sorted(support):
             mat.rows[i][j] = rng.randrange(1, PRIME)
-        if mat.rank() == len(non_sources):
+        try:
             dual = dualize(mat)
-            cols = [col_of[g] for g in ground]
-            return MatroidRep(dual.columns(cols), tuple(ground))
+        except ValueError:      # not of full row rank: draw again
+            continue
+        return MatroidRep(dual.columns([col_of[g] for g in ground]),
+                          tuple(ground))
     raise AssertionError("transversal matrix failed to reach full row rank")
 
 
-def with_sink_copies(g: Multigraph, skip_edges: Iterable[int] = ()) -> Digraph:
-    """Bidirect a multigraph and attach two in-arc-only copies per vertex.
-
-    Vertex v becomes ("v", v) with copies ("c1", v) and ("c2", v); every edge
-    {u, w} yields both arcs between the originals plus arcs from each endpoint
-    into the other endpoint's copies. Copies have no out-arcs, so paths can
-    only end there.
-    """
+def bidirected(g: Multigraph, skip_edges: Iterable[int] = ()) -> Digraph:
+    """Both arcs of every edge of g outside skip_edges; a loop gives one arc."""
     skip = set(skip_edges)
-    vertices: list[Hashable] = []
-    for v in g.vertices():
-        vertices += [("v", v), ("c1", v), ("c2", v)]
     arcs: set[tuple[Hashable, Hashable]] = set()
-    for eid in sorted(g.edges):
-        if eid in skip:
-            continue
-        u, w = g.edges[eid]
-        arcs.add((("v", u), ("v", w)))
-        arcs.add((("v", w), ("v", u)))
-        arcs.add((("v", u), ("c1", w)))
-        arcs.add((("v", u), ("c2", w)))
-        arcs.add((("v", w), ("c1", u)))
-        arcs.add((("v", w), ("c2", u)))
-    return Digraph.build(vertices, arcs)
+    for eid, (u, w) in g.edges.items():
+        if eid not in skip:
+            arcs.add((u, w))
+            arcs.add((w, u))
+    return Digraph.build(g.vertices(), arcs)
+
+
+def add_sink_copies(rep: MatroidRep, d: Digraph,
+                    rng: random.Random) -> MatroidRep:
+    """Extend a representation of d's gammoid (ground: all of d's vertices) by
+    two columns ("c1", v) and ("c2", v) per vertex v, each a fresh random
+    combination of the columns of v's in-neighbours.
+
+    The column stands for a sink copy of v, a new vertex with v's in-arcs and
+    no out-arcs. A path can end at the copy only through an in-neighbour u of
+    v that no other path uses, so X plus the copy is linked exactly when X
+    plus some u outside X is: the copy is freely placed on the flat spanned
+    by N(v), a principal extension, and a random combination of N(v)'s
+    columns represents it with probability 1 - O(n/p). The original columns
+    are kept as they are, so the elimination behind rep stays on |V(d)|
+    columns.
+    """
+    preds: dict[Hashable, list[int]] = {v: [] for v in d.vertices}
+    for u, w in d.arcs:
+        preds[w].append(rep.col_of[u])
+    combos = []
+    ground = list(rep.ground)
+    for v in d.vertices:
+        js = sorted(preds[v])
+        for tag in ("c1", "c2"):
+            combos.append([(j, rng.randrange(1, PRIME)) for j in js])
+            ground.append((tag, v))
+    rows = [row + [sum(row[j] * x for j, x in combo) % PRIME for combo in combos]
+            for row in rep.mat.rows]
+    return MatroidRep(FieldMatrix(rows, len(ground)), tuple(ground))
 
 
 def direct_sum(a: MatroidRep, b: MatroidRep) -> MatroidRep:

@@ -342,12 +342,19 @@ class Normalization:
 def normalize(inst: Instance | PairInstance) -> Normalization:
     """Rewrite an instance so the special edges form an induced set of disjoint paths.
 
-    After normalization every special edge {p, q} has fresh degree-2 endpoints
-    whose other neighbors are the original endpoints, there are no loops, at
-    most one plain edge per vertex pair, and exactly one plain sibling next to
-    a special edge's original span. An optimal solution avoiding all special
-    edge endpoints exists for the rewritten instance, and solutions lift back
-    via Normalization.landing.
+    After normalization every special edge {p, q} has degree-2 endpoints, and
+    the other neighbour of each is neither p, q nor an endpoint of any special
+    edge. There are no loops, at most one plain edge per vertex pair, and
+    exactly one plain sibling next to a special edge's original span. An
+    optimal solution avoiding all special edge endpoints exists for the
+    rewritten instance, and solutions lift back via Normalization.landing.
+
+    A special edge that already has this shape, and whose endpoints lie in no
+    pair, is left alone: every cycle through p passes through p's other
+    neighbour, which is no special endpoint, so a solution can trade p for
+    it. Every other special edge {u, v} is subdivided into u-p, p-q
+    (special), q-v with fresh p and q. Normalizing a normalized instance
+    therefore changes nothing.
     """
     if isinstance(inst, Instance):
         inst = inst.with_pairs()
@@ -392,9 +399,22 @@ def normalize(inst: Instance | PairInstance) -> Normalization:
                 g.remove_edge(e)
                 s.discard(e)
 
+    ends = {x for e in s for x in g.edges[e]}
+    in_pairs = {x for pr in pairs for x in pr}
+
+    def settled(eid: int) -> bool:
+        for x in g.edges[eid]:
+            if len(g._inc[x]) != 2 or x in in_pairs:
+                return False
+            (other,) = g._inc[x] - {eid}
+            a, b = g.edges[other]
+            if (b if a == x else a) in ends:
+                return False
+        return True
+
     landing = {v: v for v in g.vertices()}
     next_v = max(g.vertices(), default=0) + 1
-    for eid in sorted(s):
+    for eid in [e for e in sorted(s) if not settled(e)]:
         u, v = g.edges[eid]
         p, q = next_v, next_v + 1
         next_v += 2

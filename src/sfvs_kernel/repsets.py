@@ -36,5 +36,6 @@ def representative_triples(rep: MatroidRep, d1: int, d2: int,
         vec = wedge3_coordinates(ca, cb, cc, d1, d2)
         if any(vec) and basis.add(vec):
             kept.append((a, b, c))
-    assert len(kept) <= dim
+    if len(kept) > dim:
+        raise AssertionError("kept wedges exceed the wedge space dimension")
     return kept

@@ -1,8 +1,10 @@
 """Shrinking the graph around a small S: the randomized torso stage.
 
 After normalization the S-edges form an induced matching whose endpoints T
-have degree two. Remove the S-edges, attach two arc-in-only copies per vertex,
-and take the gammoid with sources T, summed with a rank-k uniform matroid.
+have degree two. Remove the S-edges, bidirect what is left, and take the
+gammoid with sources T on the original vertices, extended by two sink copies
+per vertex (columns drawn from the span of its neighbours, see
+gammoid.add_sink_copies) and summed with a rank-k uniform matroid.
 A vertex v matters for some solution only if {v', v'', v-hat} extends to an
 independent set, so a representative family of those triples pins down a set
 W with all of T such that the torso of G onto W is an equivalent instance.
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .gammoid import direct_sum, represent, uniform_rep, with_sink_copies
+from .gammoid import (add_sink_copies, bidirected, direct_sum, represent,
+                      uniform_rep)
 from .multigraph import Instance, Multigraph, torso
 from .repsets import representative_triples
 
@@ -68,12 +71,13 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
 
     rng = random.Random(seed)
     t = sorted({v for eid in s for v in g.endpoints(eid)})
-    assert len(t) == 2 * len(s)
+    if len(t) != 2 * len(s):
+        raise AssertionError("S-edges of a normalized instance form a matching")
 
-    dg = with_sink_copies(g, skip_edges=s)
-    sources = [("v", v) for v in t]
-    m1 = represent(dg, sources, dg.vertices, rng)
-    assert m1.rank == len(t), "sources always link to themselves"
+    dg = bidirected(g, skip_edges=s)
+    m1 = add_sink_copies(represent(dg, t, dg.vertices, rng), dg, rng)
+    if m1.rank_of(t) != len(t):
+        raise AssertionError("sources always link to themselves")
     m2 = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
     m = direct_sum(m1, m2)
 
@@ -82,6 +86,8 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
 
     w = frozenset(t) | frozenset(lab[1] for _, _, lab in kept)
     out = torso(g, w)
-    assert s <= set(out.edges), "S-edges live inside W"
-    assert out.n <= comb(len(t), 2) * k + len(t)
+    if not s <= set(out.edges):
+        raise AssertionError("S-edges live inside W")
+    if out.n > comb(len(t), 2) * k + len(t):
+        raise AssertionError("kernel exceeds C(|T|,2)*k + |T| vertices")
     return KernelReport(Instance(out, s, k), w, tuple(t), len(kept), None)

@@ -1,12 +1,18 @@
 """Command line behavior: exit codes, stages, determinism."""
 import io
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import sfvs_kernel
 from sfvs_kernel.cli import main
 from sfvs_kernel.instancefile import parse_instance, serialize_instance, write_instance
 from sfvs_kernel.generators import gnm
-from sfvs_kernel.multigraph import Multigraph, PairInstance
+from sfvs_kernel.multigraph import Multigraph, PairInstance, normalize
 from sfvs_kernel.oracle import solve_exact
 
 
@@ -128,3 +134,27 @@ def test_verify_small_sweep(capsys):
 def test_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_matroid_stage_runs_under_python_O(tmp_path):
+    # the stage's soundness checks raise instead of assert, so -O keeps them
+    pinst = normalize(gnm(16, 24, 5, 1, seed=11)).instance
+    t = 2 * len(pinst.s)
+    assert not pinst.pairs and len(pinst.s) > pinst.k
+    src_path, out_path = tmp_path / "in.sfvs", tmp_path / "out.sfvs"
+    write_instance(str(src_path), pinst)
+    src = str(Path(sfvs_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "sfvs_kernel.cli", "kernelize",
+         str(src_path), "--stage", "matroid", "--seed", "3",
+         "-o", str(out_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    text = out_path.read_text()
+    assert text.startswith("# outcome: reduced\n")
+    out = parse_instance(text)
+    assert out.graph.n <= comb(t, 2) * pinst.k + t
+    assert out.s and out.k == pinst.k

@@ -179,3 +179,115 @@ def test_incremental_basis_agrees_with_rank(seed):
     for v in vecs:
         ib.add(v)
     assert len(ib) == FieldMatrix(vecs, n).rank()
+
+
+# -- the shared elimination against plain full-row references -----------------
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan that updates whole rows."""
+    m = [list(r) for r in rows]
+    pivots, r = [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        iv = inverse(m[r][col])
+        m[r] = [x * iv % PRIME for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def ref_dual(rows, ncols):
+    red, pivots = ref_rref(rows, ncols)
+    non_pivots = [j for j in range(ncols) if j not in pivots]
+    out = [[0] * ncols for _ in non_pivots]
+    for i, q in enumerate(non_pivots):
+        out[i][q] = 1
+        for j, p in enumerate(pivots):
+            out[i][p] = (-red[j][q]) % PRIME
+    return out
+
+
+class RefBasis:
+    """Whole-row reduction against a pivot map sorted on every call."""
+
+    def __init__(self):
+        self.rows, self.pivot_of = [], {}
+
+    def reduce(self, vec):
+        v = [x % PRIME for x in vec]
+        for col, ri in sorted(self.pivot_of.items()):
+            if v[col]:
+                f = v[col]
+                v = [(x - f * y) % PRIME for x, y in zip(v, self.rows[ri])]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        iv = inverse(v[pivot])
+        self.pivot_of[pivot] = len(self.rows)
+        self.rows.append([x * iv % PRIME for x in v])
+        return True
+
+
+def shaped_matrix(rng, shape):
+    """A random square, wide (more columns) or rank-deficient matrix, with
+    zero columns sprinkled in so pivots skip columns."""
+    nrows = rng.randint(1, 7)
+    ncols = {"square": nrows, "wide": nrows + rng.randint(1, 6),
+             "deficient": rng.randint(1, 9)}[shape]
+    if shape == "deficient":
+        r = rng.randint(0, min(nrows, ncols) - 1)
+        left = [[rng.randrange(PRIME) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.randrange(PRIME) for _ in range(ncols)] for _ in range(r)]
+        rows = [[sum(a * right[i][j] for i, a in enumerate(row)) % PRIME
+                 for j in range(ncols)] for row in left]
+    else:
+        rows = [[rng.randrange(PRIME) for _ in range(ncols)]
+                for _ in range(nrows)]
+    for j in range(ncols):
+        if rng.random() < 0.2:
+            for row in rows:
+                row[j] = 0
+    return FieldMatrix(rows, ncols)
+
+
+@pytest.mark.parametrize("shape", ["square", "wide", "deficient"])
+def test_elimination_matches_full_row_reference(shape):
+    rng = random.Random(shape)
+    deficient = 0
+    for _ in range(150):
+        m = shaped_matrix(rng, shape)
+        want_rows, want_pivots = ref_rref(m.rows, m.ncols)
+        red, pivots = m.rref()
+        assert pivots == want_pivots
+        assert red.rows == want_rows
+        assert m.rank() == len(want_pivots)
+        if len(pivots) == m.nrows:
+            assert dualize(m).rows == ref_dual(m.rows, m.ncols)
+        else:
+            deficient += 1
+            with pytest.raises(ValueError):
+                dualize(m)
+
+        basis, ref = IncrementalBasis(), RefBasis()
+        for row in m.rows + [[rng.randrange(PRIME) for _ in range(m.ncols)]]:
+            assert basis.add(row) == ref.add(row)
+        assert basis._pivots == sorted(ref.pivot_of)
+        assert [[0] * p + tail for p, tail in zip(basis._pivots, basis._tails)] \
+            == [ref.rows[ref.pivot_of[p]] for p in sorted(ref.pivot_of)]
+        probe = [rng.randrange(PRIME) for _ in range(m.ncols)]
+        assert basis.reduce(probe) == ref.reduce(probe)
+    assert (deficient == 150) == (shape == "deficient")

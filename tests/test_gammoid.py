@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from sfvs_kernel.gammoid import (Digraph, MatroidRep, direct_sum, linked,
-                                 represent, uniform_rep, with_sink_copies)
+from helpers import random_multigraph
+from sfvs_kernel.gammoid import (Digraph, MatroidRep, add_sink_copies,
+                                 bidirected, direct_sum, linked, represent,
+                                 uniform_rep)
 from sfvs_kernel.fieldlinalg import FieldMatrix
 from sfvs_kernel.multigraph import Multigraph
 
@@ -56,35 +58,99 @@ def test_is_independent_rejects_duplicates():
     assert not rep.is_independent([2, 2])
 
 
-def test_with_sink_copies_structure():
+def sink_copy_digraph(g, skip_edges=()):
+    """The gammoid digraph with explicit sink copies: vertex v becomes
+    ("v", v) with copies ("c1", v) and ("c2", v); every edge {u, w} outside
+    skip_edges yields both arcs between the originals plus arcs from each
+    endpoint into the other's copies. Copies have no out-arcs."""
+    skip = set(skip_edges)
+    vertices = []
+    for v in g.vertices():
+        vertices += [("v", v), ("c1", v), ("c2", v)]
+    arcs = set()
+    for eid in sorted(g.edges):
+        if eid in skip:
+            continue
+        u, w = g.edges[eid]
+        for a, b in ((u, w), (w, u)):
+            arcs.add((("v", a), ("v", b)))
+            arcs.add((("v", a), ("c1", b)))
+            arcs.add((("v", a), ("c2", b)))
+    return Digraph.build(vertices, arcs)
+
+
+def copies_rep(g, sources, skip_edges, rng):
+    d = bidirected(g, skip_edges)
+    return add_sink_copies(represent(d, sources, d.vertices, rng), d, rng)
+
+
+def test_sink_copy_columns_structure():
     g = Multigraph()
     for v in (1, 2, 3):
         g.add_vertex(v)
     e12 = g.add_edge(1, 2)
     g.add_edge(2, 3)
-    d = with_sink_copies(g)
-    assert len(d.vertices) == 9
-    assert (("v", 1), ("v", 2)) in d.arcs
-    assert (("v", 2), ("v", 1)) in d.arcs
-    assert (("v", 1), ("c1", 2)) in d.arcs
-    assert (("v", 1), ("c2", 2)) in d.arcs
-    # copies never have out-arcs
-    for u, _ in d.arcs:
-        assert u[0] == "v"
+    g.add_edge(3, 3)
+    d = bidirected(g)
+    assert d.vertices == (1, 2, 3)
+    assert d.arcs == {(1, 2), (2, 1), (2, 3), (3, 2), (3, 3)}
     # skipping the 1-2 edge removes exactly its arcs
-    d2 = with_sink_copies(g, skip_edges=[e12])
-    assert (("v", 1), ("v", 2)) not in d2.arcs
-    assert (("v", 1), ("c1", 2)) not in d2.arcs
-    assert (("v", 2), ("v", 3)) in d2.arcs
-    assert (("v", 2), ("c1", 3)) in d2.arcs
+    d2 = bidirected(g, skip_edges=[e12])
+    assert d2.arcs == {(2, 3), (3, 2), (3, 3)}
+
+    rng = random.Random(0)
+    base = represent(d2, [1, 2], d2.vertices, rng)
+    rep = add_sink_copies(base, d2, rng)
+    assert rep.ground == (1, 2, 3, ("c1", 1), ("c2", 1), ("c1", 2),
+                          ("c2", 2), ("c1", 3), ("c2", 3))
+    # the gammoid's own columns are kept as they are
+    assert rep.mat.nrows == 2
+    for v in (1, 2, 3):
+        assert rep.column(v) == base.column(v)
+    # 1 has no in-arcs left, so nothing can end at its copies
+    assert rep.column(("c1", 1)) == [0, 0] == rep.column(("c2", 1))
+    # 2's only in-neighbour is 3, so its copies are parallel to 3
+    assert rep.rank_of([3, ("c1", 2), ("c2", 2)]) == 1
+    assert rep.rank_of([1, ("c1", 2)]) == 2
+    # 3's copies are fed by 2 and, through the loop, by 3 itself; every
+    # path into them starts at source 2
+    assert rep.rank_of([2, 3, ("c1", 3), ("c2", 3)]) == 1
+    assert rep.is_independent([("c1", 3)])
 
 
 def test_sink_copies_let_two_paths_end_at_one_vertex():
     g = Multigraph.from_edges([1, 2, 3], [(1, 2), (3, 2)])
-    d = with_sink_copies(g)
+    d = sink_copy_digraph(g)
     src = [("v", 1), ("v", 3)]
     assert linked(d, src, [("c1", 2), ("c2", 2)])
     assert not linked(d, [("v", 1)], [("c1", 2), ("c2", 2)])
+    rng = random.Random(3)
+    assert copies_rep(g, [1, 3], (), rng).is_independent([("c1", 2), ("c2", 2)])
+    assert not copies_rep(g, [1], (), rng).is_independent([("c1", 2), ("c2", 2)])
+
+
+def test_sink_copy_columns_agree_with_flow_oracle():
+    """The n-column representation with copies against `linked` on the
+    digraph with explicit copies, on every subset of size <= 3."""
+    rng = random.Random(23)
+    compared = 0
+    for trial in range(8):
+        g, eids = random_multigraph(rng, n_lo=3 if trial % 4 else 10,
+                                    n_hi=8 if trial % 4 else 12)
+        skip = rng.sample(eids, rng.randint(0, min(4, len(eids))))
+        vs = g.vertices()
+        sources = rng.sample(vs, rng.randint(1, min(4, len(vs))))
+        rep = copies_rep(g, sources, skip, rng)
+        d = sink_copy_digraph(g, skip)
+        as_vertex = {v: ("v", v) for v in vs}
+        src = [as_vertex[v] for v in sources]
+        for size in range(4):
+            for x in itertools.combinations(rep.ground, size):
+                t = [as_vertex.get(lab, lab) for lab in x]
+                assert rep.is_independent(x) == linked(d, src, t), \
+                    (trial, sources, x)
+                compared += 1
+    assert compared > 10000, compared
 
 
 def test_direct_sum_ranks_add():

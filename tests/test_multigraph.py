@@ -248,6 +248,81 @@ def test_normalize_preserves_answer_and_lifts_witnesses(seed):
         assert is_solution(pinst, lifted)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_normalize_is_idempotent(seed):
+    rng = random.Random(seed)
+    once = normalize(random_instance(rng, n_hi=8, with_pairs=True)).instance
+    twice = normalize(once)
+    out = twice.instance
+    assert (out.graph.n, out.graph.m, len(out.s)) == \
+        (once.graph.n, once.graph.m, len(once.s))
+    assert out.graph == once.graph and out.s == once.s
+    assert out.pairs == once.pairs and out.k == once.k
+    assert twice.forced == frozenset()
+    assert all(w == v for v, w in twice.landing.items())
+
+
+def settled_instance(rng):
+    """A random plain multigraph plus S-edges p-q that are already in
+    normalized shape: fresh p and q joined to base vertices u and v (which
+    may coincide), and pairs only among base vertices."""
+    g, _ = random_multigraph(rng, n_hi=7)
+    base = g.vertices()
+    s = set()
+    fresh = max(base) + 1
+    for _ in range(rng.randint(1, 3)):
+        p, q = fresh, fresh + 1
+        fresh += 2
+        g.add_edge(rng.choice(base), p)
+        s.add(g.add_edge(p, q))
+        g.add_edge(q, rng.choice(base))
+    pairs = set()
+    if len(base) >= 2 and rng.random() < 0.5:
+        pairs.add(frozenset(rng.sample(base, 2)))
+    return PairInstance(g, frozenset(s), frozenset(pairs), rng.randint(0, 2))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_normalize_leaves_settled_s_edges_alone(seed):
+    rng = random.Random(seed)
+    pinst = settled_instance(rng)
+    norm = normalize(pinst)
+    out = norm.instance
+    assert out.s == pinst.s
+    assert set(out.graph.vertices()) == set(pinst.graph.vertices())
+    assert all(w == v for v, w in norm.landing.items())
+    check_normalized(Instance(out.graph, out.s, out.k))
+    want = solve_exact(pinst)
+    got = solve_exact(out)
+    assert got.found == want.found
+    if got.found:
+        lifted = norm.lift(got.witness)
+        assert len(lifted) <= pinst.k
+        assert is_solution(pinst, lifted)
+
+
+def test_normalize_subdivides_s_edges_that_are_not_settled():
+    # 1-2 (S) has a plain sibling: the other neighbour of 1 is 2 itself
+    g = Multigraph.from_edges([1, 2], [(1, 2), (1, 2)])
+    out = normalize(Instance(g, frozenset([1]), 1)).instance
+    assert out.graph.n == 4 and out.s != frozenset([1])
+    # 2-3 and 4-5 are S-edges and 3-4 joins them: 3's other neighbour is an
+    # S-endpoint, so both get subdivided
+    g = Multigraph.from_edges(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5),
+                                            (5, 6)])
+    out = normalize(Instance(g, frozenset([2, 4]), 1)).instance
+    assert out.graph.n == 10
+    # a pair on an endpoint keeps the edge from being settled
+    g = Multigraph.from_edges(range(1, 5), [(1, 2), (2, 3), (3, 4)])
+    settled = normalize(Instance(g, frozenset([2]), 1)).instance
+    assert settled.graph.n == 4
+    pinned = normalize(PairInstance(g, frozenset([2]),
+                                    frozenset([frozenset((2, 4))]), 1))
+    assert pinned.instance.graph.n == 6
+
+
 def test_normalize_forces_s_loop_carriers():
     g = Multigraph()
     g.add_vertex(1)
