@@ -8,7 +8,8 @@
 
 Exit codes: 0 on success (for solve: the answer is yes; for verify: all
 checks passed), 1 for a negative result (no solution / failed checks),
-2 for usage or input errors.
+2 for usage or input errors, 3 for an internal error (a failed soundness
+check or any other unexpected exception), which is never an answer.
 """
 from __future__ import annotations
 
@@ -131,6 +132,10 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from .fieldlinalg import PRIME, FieldMatrix
-from .gammoid import Digraph, linked, represent
+from .gammoid import Digraph, bidirected, disjoint_paths, linked, represent
 from .multigraph import Multigraph
-from .pathpacking import _unit_flow_paths
 
 
 @dataclass
@@ -58,18 +57,6 @@ def _subdivide_all(g: Multigraph, s: frozenset[int]):
         orig_eid[e1] = orig_eid[e2] = orig_eid[e3] = eid
         s2.add(e2)
     return g2, frozenset(s2), orig_eid
-
-
-def _link_digraph(g2: Multigraph, z: int) -> Digraph:
-    vs = [v for v in g2.vertices() if v != z]
-    arcs = set()
-    for eid in g2.edges:
-        u, w = g2.endpoints(eid)
-        if u == z or w == z or u == w:
-            continue
-        arcs.add((u, w))
-        arcs.add((w, u))
-    return Digraph.build(vs, arcs)
 
 
 def _algebraic_lower_bound(d: Digraph, sources: list[int],
@@ -143,17 +130,15 @@ def _reconstruct(g2: Multigraph, z: int, d: Digraph, sources: list[int],
                  chosen: list[tuple[int, int]], orig_eid: dict[int, int],
                  original: set[int]) -> list[Petal]:
     targets = {v for pq in chosen for v in pq}
-    out = {v: [] for v in d.vertices}
-    for u, w in d.arcs:
-        out[u].append(w)
-    paths = _unit_flow_paths(list(d.vertices), lambda v: sorted(out[v]),
-                             set(sources), targets, cutoff=len(targets))
-    assert len(paths) == len(targets), "chosen segments must stay linked"
+    paths = disjoint_paths(d, sources, targets, cutoff=len(targets))
+    if len(paths) != len(targets):
+        raise AssertionError("chosen segments must stay linked")
     path_to = {p[-1]: p for p in paths}
 
     def edge_between(a: int, b: int) -> int:
         cands = [e for e in g2.edges_between(a, b) if not g2.is_loop(e)]
-        assert cands, f"no edge between {a} and {b}"
+        if not cands:
+            raise AssertionError(f"no edge between {a} and {b}")
         return min(cands)
 
     petals = []
@@ -167,7 +152,9 @@ def _reconstruct(g2: Multigraph, z: int, d: Digraph, sources: list[int],
 
 def _setup(g: Multigraph, s: frozenset[int], z: int):
     g2, s2, orig_eid = _subdivide_all(g, s)
-    d = _link_digraph(g2, z)
+    rest = g2.copy()
+    rest.remove_vertex(z)
+    d = bidirected(rest)
     sources = sorted(v for v in g2.neighbors(z) if v != z)
     pairs = [tuple(sorted(g2.endpoints(e))) for e in sorted(s2)]
     return g2, d, sources, pairs, orig_eid
@@ -204,19 +191,27 @@ def validate_flower(g: Multigraph, s: frozenset[int], fl: Flower) -> None:
     seen: set[int] = set()
     for petal in fl.petals:
         vs, es = petal.vertices, petal.edge_ids
-        assert vs[0] == z, "petals start at the center"
-        assert len(set(vs)) == len(vs), "petal cycles are simple"
+        if vs[0] != z:
+            raise AssertionError("petals start at the center")
+        if len(set(vs)) != len(vs):
+            raise AssertionError("petal cycles are simple")
         inner = set(vs) - {z}
-        assert not (inner & seen), "petals may only share the center"
+        if inner & seen:
+            raise AssertionError("petals may only share the center")
         seen |= inner
-        assert any(e in s for e in es), "every petal needs an S-edge"
-        assert len(es) == len(vs)
+        if not any(e in s for e in es):
+            raise AssertionError("every petal needs an S-edge")
+        if len(es) != len(vs):
+            raise AssertionError("one edge per petal vertex")
         if len(vs) == 1:
             u, w = g.endpoints(es[0])
-            assert u == w == z, "a one-vertex petal is a loop at the center"
+            if not u == w == z:
+                raise AssertionError("a one-vertex petal is a loop at the center")
             continue
-        assert len(set(es)) == len(es)
+        if len(set(es)) != len(es):
+            raise AssertionError("petal edges are distinct")
         for i in range(len(vs)):
             a, b = vs[i], vs[(i + 1) % len(vs)]
             u, w = g.endpoints(es[i])
-            assert {u, w} == {a, b}, "petal edges must trace the cycle"
+            if {u, w} != {a, b}:
+                raise AssertionError("petal edges must trace the cycle")

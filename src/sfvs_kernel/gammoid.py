@@ -2,11 +2,15 @@
 
 A set is independent in the gammoid of a digraph with fixed sources iff it can
 be linked to the sources by fully vertex-disjoint paths (a source reaches
-itself by a length-0 path). The representation goes through the classical
-dual-of-transversal construction: build the bipartite link graph (arc (u, w)
-gives an edge from u to the copy of w; every non-source also gets an edge to
-its own copy), fill a random matrix over F_p on its support, and dualize.
-One row reduction of that matrix gives both its full-rank test and the dual.
+itself by a length-0 path). `disjoint_paths` finds such paths: a unit-capacity
+flow, by BFS augmenting, on the digraph with every vertex split into an in-node
+and an out-node, kept over integer vertex indices as flat arc lists.
+
+The representation goes through the classical dual-of-transversal
+construction: build the bipartite link graph (arc (u, w) gives an edge from u
+to the copy of w; every non-source also gets an edge to its own copy), fill a
+random matrix over F_p on its support, and dualize. One row reduction of that
+matrix gives both its full-rank test and the dual.
 
 Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
 added to the digraph: add_sink_copies appends them as random combinations of
@@ -16,39 +20,122 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .fieldlinalg import PRIME, FieldMatrix, dualize
 from .multigraph import Multigraph
-from .pathpacking import _unit_flow_paths
 
 
 @dataclass
 class Digraph:
+    """A digraph on hashable labels, indexed once when it is built.
+
+    `index` numbers the vertices in the order of `vertices`, `succ[i]` lists
+    the successors of vertex i by index in increasing order, and the split
+    graph behind `disjoint_paths` is laid out here too. Vertex i becomes the
+    in-node 2i and the out-node 2i + 1. Arc e of the split graph ends at
+    head[e] and its reverse is arc e ^ 1: arc 2i runs from the in-node of i to
+    its out-node, and each arc (u, w) with u != w runs from the out-node of u
+    to the in-node of w. `arcs_at[x]` lists the arcs leaving node x, ordered by
+    the vertex at their other end.
+    """
     vertices: tuple[Hashable, ...]
     arcs: frozenset[tuple[Hashable, Hashable]]
+
+    def __post_init__(self) -> None:
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        succ: list[list[int]] = [[] for _ in self.vertices]
+        for u, w in self.arcs:
+            if u not in self.index or w not in self.index:
+                raise ValueError("arc endpoint outside vertex set")
+            succ[self.index[u]].append(self.index[w])
+        self.succ = [sorted(ws) for ws in succ]
+
+        n = len(self.vertices)
+        pairs = [(2 * v, 2 * v + 1) for v in range(n)]
+        pairs += [(2 * u + 1, 2 * w) for u, ws in enumerate(self.succ)
+                  for w in ws if w != u]
+        self.head: list[int] = []
+        at: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+        for x, y in pairs:
+            e = len(self.head)
+            self.head += (y, x)
+            at[x].append((y >> 1, e))
+            at[y].append((x >> 1, e + 1))
+        self.arcs_at = [[e for _, e in sorted(es)] for es in at]
 
     @classmethod
     def build(cls, vertices: Iterable[Hashable],
               arcs: Iterable[tuple[Hashable, Hashable]]) -> "Digraph":
-        vs = tuple(sorted(set(vertices), key=str))
-        arcset = frozenset(arcs)
-        vset = set(vs)
-        for u, w in arcset:
-            if u not in vset or w not in vset:
-                raise ValueError("arc endpoint outside vertex set")
-        return cls(vs, arcset)
+        return cls(tuple(sorted(set(vertices), key=str)), frozenset(arcs))
+
+
+def disjoint_paths(d: Digraph, sources: Iterable[Hashable],
+                   sinks: Iterable[Hashable],
+                   cutoff: Optional[int] = None) -> list[list[Hashable]]:
+    """Maximum set of fully vertex-disjoint source-to-sink paths in d, or
+    `cutoff` many of them.
+
+    Every vertex carries capacity one, so a vertex that is both source and
+    sink yields a length-0 path. Each augmenting BFS starts from the unused
+    sources in vertex order and stops at the first out-node of an unused
+    sink; labels outside d are ignored.
+    """
+    n = len(d.vertices)
+    src = sorted({d.index[v] for v in sources if v in d.index})
+    free_src = set(src)
+    free_sink = {d.index[t] for t in sinks if t in d.index}
+    head, arcs_at = d.head, d.arcs_at
+    cap = [1, 0] * (len(head) // 2)
+    ends: set[int] = set()
+
+    while cutoff is None or len(ends) < cutoff:
+        via = [-1] * (2 * n)        # the arc that reached each node, -2 at roots
+        queue = [2 * s for s in src if s in free_src]
+        for x in queue:
+            via[x] = -2
+        end = -1
+        for x in queue:             # the loop visits the nodes appended below
+            if x & 1 and (x >> 1) in free_sink:
+                end = x
+                break
+            for e in arcs_at[x]:
+                y = head[e]
+                if cap[e] and via[y] == -1:
+                    via[y] = e
+                    queue.append(y)
+        if end < 0:
+            break
+        free_sink.discard(end >> 1)
+        ends.add(end >> 1)
+        x = end
+        while via[x] != -2:
+            e = via[x]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            x = head[e ^ 1]
+        free_src.discard(x >> 1)
+
+    # from each used source, follow the used arc out of each out-node
+    paths = []
+    for s in src:
+        if s in free_src:
+            continue
+        path = [s]
+        while path[-1] not in ends:
+            out = 2 * path[-1] + 1
+            nxt = [head[e] >> 1 for e in arcs_at[out] if not e & 1 and not cap[e]]
+            if not nxt:
+                raise AssertionError("flow decomposition lost a path")
+            path.append(nxt[0])
+        paths.append([d.vertices[v] for v in path])
+    return paths
 
 
 def linked(d: Digraph, sources: Iterable[Hashable], t: Iterable[Hashable]) -> bool:
     """Can t be hit by |t| fully vertex-disjoint paths from the sources?"""
     tset = set(t)
-    out = {v: [] for v in d.vertices}
-    for u, w in d.arcs:
-        out[u].append(w)
-    paths = _unit_flow_paths(list(d.vertices), lambda v: out[v],
-                             set(sources), tset, cutoff=len(tset))
-    return len(paths) == len(tset)
+    return len(disjoint_paths(d, sources, tset, cutoff=len(tset))) == len(tset)
 
 
 @dataclass
@@ -86,30 +173,23 @@ def represent(d: Digraph, sources: Iterable[Hashable],
     """Random representation of the gammoid on `ground`; sound with probability
     1 - O(poly/p) over the rng draws."""
     sources = set(sources)
-    vs = list(d.vertices)
-    vset = set(vs)
-    if not sources <= vset or not set(ground) <= vset:
+    if not sources <= d.index.keys() or not set(ground) <= d.index.keys():
         raise ValueError("sources and ground must be vertices of the digraph")
-    non_sources = [v for v in vs if v not in sources]
-    row_of = {v: i for i, v in enumerate(non_sources)}
-    col_of = {v: j for j, v in enumerate(vs)}
-
-    support: set[tuple[int, int]] = set()
-    for v in non_sources:
-        support.add((row_of[v], col_of[v]))
-    for u, w in sorted(d.arcs, key=str):
-        if w not in sources:
-            support.add((row_of[w], col_of[u]))
+    non_sources = [i for i, v in enumerate(d.vertices) if v not in sources]
+    row_of = {v: r for r, v in enumerate(non_sources)}
+    support = {(r, v) for r, v in enumerate(non_sources)}
+    support |= {(row_of[w], u) for u, ws in enumerate(d.succ)
+                for w in ws if w in row_of}
 
     for _ in range(4):
-        mat = FieldMatrix.zeros(len(non_sources), len(vs))
+        mat = FieldMatrix.zeros(len(non_sources), len(d.vertices))
         for i, j in sorted(support):
             mat.rows[i][j] = rng.randrange(1, PRIME)
         try:
             dual = dualize(mat)
         except ValueError:      # not of full row rank: draw again
             continue
-        return MatroidRep(dual.columns([col_of[g] for g in ground]),
+        return MatroidRep(dual.columns([d.index[g] for g in ground]),
                           tuple(ground))
     raise AssertionError("transversal matrix failed to reach full row rank")
 

@@ -1,4 +1,4 @@
-"""Vertex-disjoint path packings: unit-capacity flow and open A-paths.
+"""Vertex-disjoint packings of open A-paths, and blockers when none is large.
 
 The A-path machinery reduces to maximum matching on an auxiliary graph where
 every vertex outside A is split into an adjacent twin pair: a packing of t
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .multigraph import Multigraph
 
@@ -27,88 +27,6 @@ class PathPacking:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-
-# -- unit-capacity flow ------------------------------------------------------
-
-
-def _unit_flow_paths(vertices: Sequence[int],
-                     out_neighbors: Callable[[int], Iterable[int]],
-                     sources: Iterable[int],
-                     sinks: Iterable[int],
-                     cutoff: Optional[int] = None) -> list[list[int]]:
-    """Maximum set of fully vertex-disjoint source-to-sink paths in a digraph.
-
-    Vertices are split so every vertex carries capacity one; a vertex that is
-    both source and sink yields a length-0 path. Deterministic BFS augmenting.
-    """
-    sources = sorted(set(sources))
-    sinks = set(sinks)
-    cap: dict[Hashable, dict[Hashable, int]] = {}
-    real: set[tuple[Hashable, Hashable]] = set()
-
-    def put(a: Hashable, b: Hashable) -> None:
-        cap.setdefault(a, {})[b] = 1
-        cap.setdefault(b, {}).setdefault(a, 0)
-        real.add((a, b))
-
-    for v in vertices:
-        put(("i", v), ("o", v))
-    for v in vertices:
-        for w in sorted(set(out_neighbors(v))):
-            if w != v:
-                put(("o", v), ("i", w))
-    for s in sources:
-        put("S", ("i", s))
-    for t in sorted(sinks):
-        put(("o", t), "T")
-    if "S" not in cap or "T" not in cap:
-        return []
-
-    flow = 0
-    while cutoff is None or flow < cutoff:
-        prev: dict[Hashable, Hashable] = {"S": "S"}
-        queue = deque(["S"])
-        while queue and "T" not in prev:
-            x = queue.popleft()
-            for y in sorted(cap[x], key=str):
-                if cap[x][y] > 0 and y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        if "T" not in prev:
-            break
-        y = "T"
-        while y != "S":
-            x = prev[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
-        flow += 1
-
-    # walk the used arcs from each saturated source to recover the paths
-    paths = []
-    for s in sources:
-        if cap["S"][("i", s)] != 0:
-            continue
-        path = [s]
-        node: Hashable = ("o", s)
-        while node != "T":
-            nxt = None
-            for y in sorted(cap[node], key=str):
-                if (node, y) in real and cap[node][y] == 0:
-                    nxt = y
-                    break
-            if nxt is None:
-                raise AssertionError("flow decomposition lost a path")
-            if nxt == "T":
-                node = "T"
-            else:
-                kind, v = nxt
-                if kind == "i":
-                    path.append(v)
-                node = ("o", v) if kind == "i" else nxt
-        paths.append(path)
-    return paths
 
 
 # -- A-paths -----------------------------------------------------------------

@@ -118,23 +118,15 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
 
 def cover_matching(dec: Decomposition) -> set[int]:
     """Matching in the bubble forest covering every inner bubble: match each
-    subtree root to its smallest child, recurse below skipped non-leaves."""
+    subtree root to its smallest child, then do the same below every skipped
+    non-leaf. Iterative, so the depth of the forest is not bounded by the
+    recursion limit."""
     n = len(dec.bubbles)
     seen = [False] * n
     matched: set[int] = set()
 
     def children_of(v: int, parent: Optional[int]) -> list[int]:
         return sorted(w for w in dec.adj[v] if w != parent)
-
-    def rec(r: int, parent: Optional[int]) -> None:
-        kids = children_of(r, parent)
-        assert kids, "recursion only enters subtrees with an edge to place"
-        v = kids[0]
-        matched.add(dec.adj[r][v])
-        rest = children_of(v, r) + kids[1:]
-        for w in rest:
-            if children_of(w, v if w in dec.adj[v] else r):
-                rec(w, v if w in dec.adj[v] else r)
 
     for b in range(n):
         if seen[b] or not dec.adj[b]:
@@ -150,7 +142,17 @@ def cover_matching(dec: Decomposition) -> set[int]:
                     seen[w] = True
                     comp.append(w)
                     stack.append(w)
-        rec(min(comp), None)
+        # subtree roots with their parents, each with an edge to place
+        todo: list[tuple[int, Optional[int]]] = [(min(comp), None)]
+        while todo:
+            r, parent = todo.pop()
+            kids = children_of(r, parent)
+            v = kids[0]
+            matched.add(dec.adj[r][v])
+            for w in reversed(children_of(v, r) + kids[1:]):
+                p = v if w in dec.adj[v] else r
+                if children_of(w, p):
+                    todo.append((w, p))
 
     covered = {b for eid in matched for b in dec.link[eid]}
     for b in range(n):

@@ -1,4 +1,5 @@
 """Command line behavior: exit codes, stages, determinism."""
+import ast
 import io
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sfvs_kernel
+from sfvs_kernel import cli
 from sfvs_kernel.cli import main
 from sfvs_kernel.instancefile import parse_instance, serialize_instance, write_instance
 from sfvs_kernel.generators import gnm
@@ -158,3 +160,35 @@ def test_matroid_stage_runs_under_python_O(tmp_path):
     out = parse_instance(text)
     assert out.graph.n <= comb(t, 2) * pinst.k + t
     assert out.s and out.k == pinst.k
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a failed soundness check must not read as solve's "no" (exit 1)
+    path, _ = gen_file(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant\nbroken")
+
+    monkeypatch.setattr(cli, "solve_exact", broken)
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: invariant broken\n"
+
+
+def test_verify_sweep_runs_under_python_O():
+    # rules, flowers and the matroid stage keep their checks under -O
+    src = str(Path(sfvs_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "sfvs_kernel.cli", "verify",
+         "--trials", "20"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "failures: 0" in run.stdout
+    firings = next(line for line in run.stdout.splitlines()
+                   if line.startswith("rule firings:"))
+    fired = ast.literal_eval(firings.split(":", 1)[1].strip())
+    assert all(fired.get(r, 0) > 0 for r in range(1, 11)), firings

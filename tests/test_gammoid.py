@@ -2,12 +2,14 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from helpers import random_multigraph
 from sfvs_kernel.gammoid import (Digraph, MatroidRep, add_sink_copies,
-                                 bidirected, direct_sum, linked, represent,
-                                 uniform_rep)
+                                 bidirected, direct_sum, disjoint_paths,
+                                 linked, represent, uniform_rep)
 from sfvs_kernel.fieldlinalg import FieldMatrix
 from sfvs_kernel.multigraph import Multigraph
 
@@ -34,6 +36,48 @@ def test_linked_hand_case():
     assert linked(d, [1], [4])       # 1 -> 3 -> 4
     assert not linked(d, [1], [3, 4])  # one source, two targets
     assert linked(d, [1], [1])       # a source reaches itself
+
+
+def test_disjoint_paths_match_networkx_node_connectivity():
+    """Path count against networkx's node connectivity between a super
+    source and a super sink; every packing is checked path by path."""
+    rng = random.Random(23)
+    overlaps = loops = cut = 0
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        arcs = {(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 3 * n))}
+        d = Digraph.build(range(n), arcs)
+        loops += any(u == w for u, w in arcs)
+        for _ in range(4):
+            sources = set(rng.sample(range(n), rng.randint(0, n)))
+            sinks = set(rng.sample(range(n), rng.randint(0, n)))
+            cutoff = rng.choice([None, rng.randint(0, n)])
+            overlaps += bool(sources & sinks)
+            g = nx.DiGraph(list(arcs))
+            g.add_nodes_from([*range(n), "S", "T"])
+            g.add_edges_from(("S", v) for v in sources)
+            g.add_edges_from((v, "T") for v in sinks)
+            want = local_node_connectivity(g, "S", "T")
+            if cutoff is not None and cutoff < want:
+                want = cutoff
+                cut += 1
+            paths = disjoint_paths(d, sources, sinks, cutoff)
+            assert len(paths) == want, (trial, sources, sinks, cutoff)
+            used = set()
+            for p in paths:
+                assert p[0] in sources and p[-1] in sinks, (trial, p)
+                assert all(a in arcs for a in zip(p, p[1:])), (trial, p)
+                assert len(set(p)) == len(p) and not used & set(p), (trial, p)
+                used |= set(p)
+    assert overlaps > 100 and loops > 100 and cut > 50, (overlaps, loops, cut)
+
+
+def test_disjoint_paths_ignores_labels_outside_the_digraph():
+    d = Digraph.build(["a", "b"], [("a", "b")])
+    assert disjoint_paths(d, ["a", "x"], ["b", "y"]) == [["a", "b"]]
+    assert not linked(d, ["a"], ["b", "y"])
+    assert linked(d, ["x"], [])
 
 
 def test_rank_agrees_with_linkage():

@@ -11,8 +11,8 @@ from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
                                     has_s_cycle, normalize)
 from sfvs_kernel.oracle import FeasibleZ, feasible_z_greedy, solve_exact
 from sfvs_kernel.pipeline import run_full, run_rules
-from sfvs_kernel.ruleengine import (cover_matching, decompose, finalize,
-                                    reduce_pairs, uncovered_leaves)
+from sfvs_kernel.ruleengine import (Decomposition, cover_matching, decompose,
+                                    finalize, reduce_pairs, uncovered_leaves)
 
 
 def answer_of(inst: Instance) -> bool:
@@ -119,6 +119,72 @@ def test_cover_matching_covers_inner_bubbles(seed):
             assert b in covered
     for b in uncovered_leaves(dec, matched):
         assert dec.degree(b) == 1 and b not in covered
+
+
+def bubble_forest_decomposition(edges, n):
+    """A hand-built decomposition: bubble i is the vertex i, and the j-th
+    forest edge is the S-edge j."""
+    adj = {i: {} for i in range(n)}
+    link = {}
+    for eid, (a, b) in enumerate(edges):
+        adj[a][b] = adj[b][a] = eid
+        link[eid] = (a, b)
+    return Decomposition(frozenset(), [frozenset([i]) for i in range(n)],
+                         {i: i for i in range(n)}, adj, link,
+                         {i: frozenset() for i in range(n)})
+
+
+def recursive_cover_matching(dec):
+    """The recursive form of cover_matching, kept as the reference."""
+    n = len(dec.bubbles)
+    seen = [False] * n
+    matched = set()
+
+    def children_of(v, parent):
+        return sorted(w for w in dec.adj[v] if w != parent)
+
+    def rec(r, parent):
+        kids = children_of(r, parent)
+        v = kids[0]
+        matched.add(dec.adj[r][v])
+        for w in children_of(v, r) + kids[1:]:
+            if children_of(w, v if w in dec.adj[v] else r):
+                rec(w, v if w in dec.adj[v] else r)
+
+    for b in range(n):
+        if seen[b] or not dec.adj[b]:
+            seen[b] = True
+            continue
+        comp, stack = [b], [b]
+        seen[b] = True
+        while stack:
+            x = stack.pop()
+            for w in dec.adj[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        rec(min(comp), None)
+    return matched
+
+
+def test_cover_matching_on_a_deep_path():
+    n = 3000
+    dec = bubble_forest_decomposition([(i, i + 1) for i in range(n - 1)], n)
+    matched = cover_matching(dec)
+    assert matched == set(range(0, n - 1, 2))
+
+
+def test_cover_matching_matches_the_recursive_version():
+    rng = random.Random(7)
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)
+                 if rng.random() < 0.8]   # a random forest
+        dec = bubble_forest_decomposition(edges, n)
+        assert cover_matching(dec) == recursive_cover_matching(dec), trial
 
 
 def test_decompose_rejects_z_touching_s():
