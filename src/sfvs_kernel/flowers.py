@@ -5,9 +5,15 @@ loops and parallel S-edges at the center look like ordinary triangles and
 2-paths. A packing of t petals is then exactly a set of t S-segments whose
 2t endpoints can be linked to N(z) by fully vertex-disjoint paths in G - z,
 so the order is computed by a parity-constrained search over that gammoid:
-depth-first over segment subsets with a flow feasibility check, plus a
-one-sided algebraic certificate (rank of a random antisymmetric compression)
-that lets the decision version answer yes without finishing the search.
+depth-first over segment subsets with a flow feasibility check.
+
+The decision version is settled from both sides before that search runs.
+Every petal ends at two neighbours of z of its own, so fewer than 2t
+neighbours in the subdivided graph certify "no"; that count is read off G in
+O(deg z), before anything is subdivided. A one-sided algebraic certificate
+(rank of a random antisymmetric compression) certifies "yes". Only when
+neither settles it does the search run, and it never explores more than
+half as many segments as z has neighbours.
 """
 from __future__ import annotations
 
@@ -86,8 +92,10 @@ def _algebraic_lower_bound(d: Digraph, sources: list[int],
 def _search(d: Digraph, sources: list[int], pairs: list[tuple[int, int]],
             target: Optional[int]) -> list[tuple[int, int]]:
     """Exact max parity-independent set of segment pairs, cut off early once
-    `target` many are found."""
+    `target` many are found. A set of c pairs needs 2c sources, so no branch
+    grows past len(sources) // 2; the pairs returned do not depend on that."""
     src = set(sources)
+    cap = len(sources) // 2
     best: list[tuple[int, int]] = []
 
     def feasible(chosen) -> bool:
@@ -101,7 +109,7 @@ def _search(d: Digraph, sources: list[int], pairs: list[tuple[int, int]],
             if target is not None and len(best) >= target:
                 return True
         for j in range(i, len(pairs)):
-            if len(chosen) + (len(pairs) - j) <= len(best):
+            if min(len(chosen) + len(pairs) - j, cap) <= len(best):
                 break
             chosen.append(pairs[j])
             if feasible(chosen) and dfs(j + 1, chosen):
@@ -150,6 +158,21 @@ def _reconstruct(g2: Multigraph, z: int, d: Digraph, sources: list[int],
     return petals
 
 
+def _petal_ends(g: Multigraph, s: frozenset[int], z: int) -> int:
+    """The number of neighbours of z in the subdivided graph, read off g:
+    distinct plain neighbours other than z, plus one segment end per S-edge
+    at z and two for an S-loop."""
+    plain: set[int] = set()
+    ends = 0
+    for eid in g.incident(z):
+        u, v = g.endpoints(eid)
+        if eid in s:
+            ends += 2 if u == v else 1
+        elif u != v:
+            plain.add(v if u == z else u)
+    return ends + len(plain)
+
+
 def _setup(g: Multigraph, s: frozenset[int], z: int):
     g2, s2, orig_eid = _subdivide_all(g, s)
     rest = g2.copy()
@@ -172,15 +195,15 @@ def max_flower(g: Multigraph, s: frozenset[int], z: int) -> Flower:
 
 def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int, t: int,
                         rng: Optional[random.Random] = None) -> bool:
-    """Decision version. The algebraic bound can only certify yes, so a miss
-    costs time (the exhaustive search runs) but never the answer."""
+    """Decision version, exact. Fewer than t S-edges or fewer than 2t petal
+    ends at z answer no before the subdivided graph is built. The algebraic
+    bound can only certify yes, and the search decides the rest, so a miss
+    of either bound costs time but never the answer."""
     if t <= 0:
         return True
-    if not g.has_vertex(z) or not s:
+    if not g.has_vertex(z) or len(s) < t or _petal_ends(g, s, z) < 2 * t:
         return False
     _, d, sources, pairs, _ = _setup(g, s, z)
-    if len(pairs) < t:
-        return False
     if rng is not None and _algebraic_lower_bound(d, sources, pairs, rng) >= t:
         return True
     return len(_search(d, sources, pairs, t)) >= t

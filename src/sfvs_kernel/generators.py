@@ -87,7 +87,8 @@ def bubble_forest(seed: int, n_max: int = 16) -> PairInstance:
         s.add(g.add_edge(u, rng.choice(clusters[rng.randrange(nb)])))
 
     k = rng.randint(0, 3)
-    assert g.n <= n_max
+    if g.n > n_max:
+        raise AssertionError(f"bubble forest has {g.n} > {n_max} vertices")
     return PairInstance(g, frozenset(s), frozenset(), k)
 
 

@@ -121,7 +121,8 @@ def feasible_z_exact(g: Multigraph, s: frozenset[int],
 def feasible_z_greedy(g: Multigraph, s: frozenset[int]) -> FeasibleZ:
     """Feasible but uncertified: start from all base endpoints, prune greedily."""
     z = set(_base_endpoints(g, s))
-    assert not has_s_cycle(g, s, z), "base endpoints must hit every S-cycle"
+    if has_s_cycle(g, s, z):
+        raise AssertionError("base endpoints must hit every S-cycle")
     for v in sorted(z):
         z.discard(v)
         if has_s_cycle(g, s, z):

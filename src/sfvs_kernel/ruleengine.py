@@ -63,7 +63,8 @@ class Decomposition:
 def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposition:
     for eid in s:
         for v in g.endpoints(eid):
-            assert v not in y, "Y must avoid S-edge endpoints"
+            if v in y:
+                raise AssertionError("Y must avoid S-edge endpoints")
     live = [v for v in g.vertices() if v not in y]
     sub = g.induced(live)
     for eid in s:
@@ -78,8 +79,12 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
     for eid in sorted(s):
         u, v = g.endpoints(eid)
         bu, bv = bubble_of[u], bubble_of[v]
-        assert bu != bv, "an S-edge inside a bubble contradicts feasibility of Y"
-        assert bv not in adj[bu], "parallel S-edges between bubbles contradict feasibility"
+        if bu == bv:
+            raise AssertionError(
+                "an S-edge inside a bubble contradicts feasibility of Y")
+        if bv in adj[bu]:
+            raise AssertionError(
+                "parallel S-edges between bubbles contradict feasibility")
         adj[bu][bv] = eid
         adj[bv][bu] = eid
         link[eid] = (bu, bv)
@@ -95,7 +100,8 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
 
     for eid, (bu, bv) in link.items():
         ru, rv = find(bu), find(bv)
-        assert ru != rv, "bubble graph must be a forest"
+        if ru == rv:
+            raise AssertionError("bubble graph must be a forest")
         parent[ru] = rv
 
     yset: dict[int, set[int]] = {i: set() for i in range(len(bubbles))}
@@ -109,9 +115,8 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
             yset[bubble_of[v]].add(u)
         elif v in y:
             yset[bubble_of[u]].add(v)
-        else:
-            assert bubble_of[u] == bubble_of[v], \
-                "plain edges cannot cross bubbles"
+        elif bubble_of[u] != bubble_of[v]:
+            raise AssertionError("plain edges cannot cross bubbles")
     yadj = {i: frozenset(vs) for i, vs in yset.items()}
     return Decomposition(y, bubbles, bubble_of, adj, link, yadj)
 
@@ -156,8 +161,8 @@ def cover_matching(dec: Decomposition) -> set[int]:
 
     covered = {b for eid in matched for b in dec.link[eid]}
     for b in range(n):
-        if dec.degree(b) >= 2:
-            assert b in covered, "matching must cover every inner bubble"
+        if dec.degree(b) >= 2 and b not in covered:
+            raise AssertionError("matching must cover every inner bubble")
     return matched
 
 
@@ -172,11 +177,14 @@ def uncovered_leaves(dec: Decomposition, matched: set[int]) -> list[int]:
 def _base_of(g: Multigraph, s: frozenset[int], x: int) -> int:
     """The unique non-partner neighbor of an S-edge endpoint."""
     sids = [e for e in g.incident(x) if e in s]
-    assert len(sids) == 1
+    if len(sids) != 1:
+        raise AssertionError("a normalized S endpoint has exactly one S-edge")
     u, v = g.endpoints(sids[0])
     partner = v if u == x else u
     others = {w for w in g.neighbors(x) if w != partner}
-    assert len(others) == 1, "normalized S endpoints have exactly one base neighbor"
+    if len(others) != 1:
+        raise AssertionError(
+            "normalized S endpoints have exactly one base neighbor")
     return next(iter(others))
 
 
@@ -338,15 +346,17 @@ def _leaf_edges(g: Multigraph, st: _State, dec: Decomposition, lset: list[int],
     out = []
     for leaf in lset:
         (far, eid), = dec.adj[leaf].items()
-        assert dec.degree(far) >= 2, "partners of uncovered leaves are inner"
+        if dec.degree(far) < 2:
+            raise AssertionError("partners of uncovered leaves are inner")
         u, v = g.endpoints(eid)
         p, q = (u, v) if u in dec.bubbles[leaf] else (v, u)
         izb = deczb.bubble_of[p]
-        assert deczb.bubbles[izb] == dec.bubbles[leaf], \
-            "blockers never cut into leaf bubbles"
+        if deczb.bubbles[izb] != dec.bubbles[leaf]:
+            raise AssertionError("blockers never cut into leaf bubbles")
         fzb = deczb.bubble_of[q]
         ey = deczb.yadj[izb]
-        assert ey <= st.z, "leaf pieces see only Z"
+        if not ey <= st.z:
+            raise AssertionError("leaf pieces see only Z")
         fy = deczb.yadj[fzb]
         singles = fy & ey
         oriented = {(x, y) for x in fy for y in ey if x != y}
@@ -407,11 +417,13 @@ def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
     if cands:
         pick = cands[0]
         wit = [e for e in sees if pick in sees[e][1]]
-        assert len(wit) >= k + 2
+        if len(wit) < k + 2:
+            raise AssertionError("rule 7 needs k+2 witnesses")
         used: set[int] = set()
         for e in wit:
             a, b = dec.link[e]
-            assert not ({a, b} & used), "witness bubbles must be disjoint"
+            if {a, b} & used:
+                raise AssertionError("witness bubbles must be disjoint")
             used |= {a, b}
         st.pairs.add(pick)
         return 7
@@ -428,8 +440,8 @@ def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
         blockers = {zv: compute_blocker(g, sfro, dec, zv, k)
                     for zv in sorted(st.z)}
     except FlowerEscape as esc:
-        assert has_flower_of_order(g, sfro, esc.z, k + 1, rng), \
-            "escalated packings must lift to flowers"
+        if not has_flower_of_order(g, sfro, esc.z, k + 1, rng):
+            raise AssertionError("escalated packings must lift to flowers")
         _delete_vertex(st, esc.z)
         return 6
     b = frozenset().union(*blockers.values()) if blockers else frozenset()
@@ -454,11 +466,12 @@ def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
         x, y = cands9[0]
         wit = [(izb, fzb) for _, izb, fzb, _, oriented in ledges
                if (x, y) in oriented]
-        assert len(wit) >= k + 2
+        if len(wit) < k + 2:
+            raise AssertionError("rule 9 needs k+2 witnesses")
         pieces: set[int] = set()
         for izb, fzb in wit:
-            assert izb not in pieces and fzb not in pieces, \
-                "witness pieces must be disjoint"
+            if izb in pieces or fzb in pieces:
+                raise AssertionError("witness pieces must be disjoint")
             pieces |= {izb, fzb}
         st.pairs.add(frozenset((x, y)))
         return 9
@@ -479,7 +492,8 @@ def finalize(g: Multigraph, s: set[int], pairs: set[frozenset[int]],
     s2 = set(s)
     for pr in sorted(pairs, key=sorted):
         x, y = sorted(pr)
-        assert x != y and out.has_vertex(x) and out.has_vertex(y)
+        if x == y or not (out.has_vertex(x) and out.has_vertex(y)):
+            raise AssertionError("a pair joins two distinct live vertices")
         if not [e for e in out.edges_between(x, y) if not out.is_loop(e)]:
             out.add_edge(x, y)
         s2.add(out.add_edge(x, y))
@@ -501,8 +515,10 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
 
     fz = provider(g, frozenset(s))
     vs = {v for eid in s for v in g.endpoints(eid)}
-    assert fz.z.isdisjoint(vs), "providers must avoid S-edge endpoints"
-    assert not has_s_cycle(g, frozenset(s), set(fz.z)), "provider output must be feasible"
+    if not fz.z.isdisjoint(vs):
+        raise AssertionError("providers must avoid S-edge endpoints")
+    if has_s_cycle(g, frozenset(s), set(fz.z)):
+        raise AssertionError("provider output must be feasible")
 
     empty_stats = {"z": len(fz.z), "b": 0, "m": 0, "l": 0,
                    "pairs": len(pairs), "s": len(s), "k": k, "n": g.n}
@@ -518,7 +534,8 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
         2 * (g.n + g.m + len(s) + k * k) + 50
     while st.outcome is None:
         st.steps += 1
-        assert st.steps <= cap, "rule loop exceeded its termination bound"
+        if st.steps > cap:
+            raise AssertionError("rule loop exceeded its termination bound")
         fired = _apply_once(st, rng)
         if fired is None:
             break
@@ -532,11 +549,16 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
         nz, kk = len(st.z), st.k
         stats = st.stats or {}
         m_sz, l_sz, b_sz = stats.get("m", 0), stats.get("l", 0), stats.get("b", 0)
-        assert len(st.pairs) <= kk * kk
-        assert m_sz <= (kk + 1) * nz * nz + kk * nz
-        assert b_sz <= 2 * kk * nz
-        assert l_sz <= (kk + 1) * nz * (b_sz + nz) + kk * nz
-        assert len(st.s) <= 2 * m_sz + l_sz
+        if len(st.pairs) > kk * kk:
+            raise AssertionError("more than k^2 pairs")
+        if m_sz > (kk + 1) * nz * nz + kk * nz:
+            raise AssertionError("|M| exceeds (k+1)|Z|^2 + k|Z|")
+        if b_sz > 2 * kk * nz:
+            raise AssertionError("|B| exceeds 2k|Z|")
+        if l_sz > (kk + 1) * nz * (b_sz + nz) + kk * nz:
+            raise AssertionError("|L| exceeds (k+1)|Z|(|B|+|Z|) + k|Z|")
+        if len(st.s) > 2 * m_sz + l_sz:
+            raise AssertionError("|S| exceeds 2|M| + |L|")
         fix = PairInstance(st.graph, frozenset(st.s),
                            frozenset(st.pairs), st.k)
         final = finalize(st.graph, st.s, st.pairs, st.k)

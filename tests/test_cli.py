@@ -192,3 +192,15 @@ def test_verify_sweep_runs_under_python_O():
                    if line.startswith("rule firings:"))
     fired = ast.literal_eval(firings.split(":", 1)[1].strip())
     assert all(fired.get(r, 0) > 0 for r in range(1, 11)), firings
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so soundness checks must raise
+    pkg = Path(sfvs_kernel.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert len(list(pkg.rglob("*.py"))) > 10
+    assert found == []

@@ -4,10 +4,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from helpers import random_instance
+from sfvs_kernel import flowers, ruleengine
 from sfvs_kernel.flowers import has_flower_of_order, max_flower, validate_flower
+from sfvs_kernel.generators import gnm
 from sfvs_kernel.multigraph import Multigraph
-from sfvs_kernel.oracle import brute_force_flower
+from sfvs_kernel.oracle import brute_force_flower, feasible_z_greedy
+from sfvs_kernel.pipeline import run_rules
 
 
 def test_two_triangle_flower():
@@ -68,7 +73,6 @@ def test_flower_order_matches_brute_force(seed):
 
 
 def test_validate_flower_rejects_overlap():
-    import pytest
     from sfvs_kernel.flowers import Flower
     g = Multigraph()
     for v in (1, 2, 3):
@@ -82,3 +86,107 @@ def test_validate_flower_rejects_overlap():
     doubled = Flower(fl.center, list(fl.petals) + list(fl.petals))
     with pytest.raises(AssertionError):
         validate_flower(g, s, doubled)
+
+
+def hub_instance(rng, z=0):
+    """A center z joined to most of 5-8 vertices, with S-loops, parallel
+    S-edges and plain loops at z and S-edges among the rest."""
+    n = rng.randint(5, 8)
+    g = Multigraph()
+    for v in range(n + 1):
+        g.add_vertex(v)
+    s = set()
+    for v in range(1, n + 1):
+        if rng.random() < 0.8:
+            g.add_edge(z, v)
+        if rng.random() < 0.3:
+            s.add(g.add_edge(z, v))
+    for _ in range(rng.randint(0, 2)):
+        s.add(g.add_edge(z, z))
+    for _ in range(rng.randint(0, 2)):
+        g.add_edge(z, z)
+    for _ in range(rng.randint(n // 2, n + 2)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        e = g.add_edge(u, v)
+        if rng.random() < 0.4:
+            s.add(e)
+    return g, frozenset(s)
+
+
+def test_petal_ends_count_the_subdivided_neighbours():
+    rng = random.Random(5)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            g, s = hub_instance(rng)
+            z = 0
+        else:
+            pinst = random_instance(rng, n_hi=8, s_hi=6)
+            g, s = pinst.graph, pinst.s
+            z = rng.choice(g.vertices())
+        _, _, sources, _, _ = flowers._setup(g, s, z)
+        assert flowers._petal_ends(g, s, z) == len(sources)
+
+
+def test_too_few_petal_ends_answer_no_without_search(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the count alone must settle this decision")
+
+    cases = []
+    rng = random.Random(9)
+    for _ in range(300):
+        g, s = hub_instance(rng)
+        ends = flowers._petal_ends(g, s, 0)
+        cases += [(g, s, t, brute_force_flower(g, s, 0))
+                  for t in range(1, len(s) + 1) if ends < 2 * t]
+    assert len(cases) > 100
+    for name in ("_setup", "_search", "_algebraic_lower_bound"):
+        monkeypatch.setattr(flowers, name, boom)
+    for g, s, t, want in cases:
+        assert want < t
+        assert not has_flower_of_order(g, s, 0, t, random.Random(t))
+
+
+def test_hub_flowers_match_brute_force(monkeypatch):
+    searches = []
+    search, link = flowers._search, flowers.linked
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    def capped(d, sources, targets):
+        # the search never asks for more petal ends than z has neighbours
+        assert len(targets) <= len(sources)
+        return link(d, sources, targets)
+
+    monkeypatch.setattr(flowers, "_search", counted)
+    monkeypatch.setattr(flowers, "linked", capped)
+    rng = random.Random(13)
+    for _ in range(60):
+        g, s = hub_instance(rng)
+        want = brute_force_flower(g, s, 0)
+        assert max_flower(g, s, 0).order == want
+        for t in range(want + 2):
+            assert has_flower_of_order(g, s, 0, t) == (t <= want)
+            assert has_flower_of_order(g, s, 0, t, rng) == (t <= want)
+    # rng=None leaves every decision the count cannot settle to the search
+    assert sum(1 for args in searches if args[3] is not None) > 60
+
+
+def test_greedy_ladder_flower_decisions_need_no_search(monkeypatch):
+    decisions = []
+    decide = ruleengine.has_flower_of_order
+
+    def counted(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the DFS ran")
+
+    monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
+    monkeypatch.setattr(flowers, "_search", boom)
+    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy,
+                    seed=0)
+    assert rep.outcome == "reduced"
+    assert len(decisions) > 0
