@@ -42,7 +42,7 @@ def cmd_kernelize(args) -> int:
     pinst = _read(args.input)
     provider = feasible_z_greedy if args.provider == "greedy" else None
     if args.stage == "rules":
-        rep = run_rules(pinst, provider=provider, seed=args.seed)
+        rep = run_rules(pinst, provider=provider)
     elif args.stage == "matroid":
         if pinst.pairs:
             print("matroid stage takes pair-free instances", file=sys.stderr)
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     kz.add_argument("--stage", choices=("full", "rules", "matroid"),
                     default="full")
     kz.add_argument("--provider", choices=("exact", "greedy"), default="exact")
-    kz.add_argument("--seed", type=int, default=0)
+    kz.add_argument("--seed", type=int, default=0,
+                    help="seed of the matroid stage's random representation")
     kz.set_defaults(func=cmd_kernelize)
 
     sv = sub.add_parser("solve", help="exhaustively solve a small instance")

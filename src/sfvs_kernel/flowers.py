@@ -7,21 +7,19 @@ loops and parallel S-edges at the center look like ordinary triangles and
 so the order is computed by a parity-constrained search over that gammoid:
 depth-first over segment subsets with a flow feasibility check.
 
-The decision version is settled from both sides before that search runs.
-Every petal ends at two neighbours of z of its own, so fewer than 2t
-neighbours in the subdivided graph certify "no"; that count is read off G in
-O(deg z), before anything is subdivided. A one-sided algebraic certificate
-(rank of a random antisymmetric compression) certifies "yes". Only when
-neither settles it does the search run, and it never explores more than
-half as many segments as z has neighbours.
+The decision version is deterministic. Every petal ends at two neighbours of
+z of its own, so fewer than 2t neighbours in the subdivided graph certify
+"no"; that count is read off G in O(deg z), before anything is subdivided.
+Every other decision, "yes" included, comes from the search, which stops at
+the first t linked segments and never explores more than half as many
+segments as z has neighbours.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
-from .fieldlinalg import PRIME, FieldMatrix
+# no caller here: kept because perfbench/layers.py probes flowers.represent
 from .gammoid import Digraph, bidirected, disjoint_paths, linked, represent
 from .multigraph import Multigraph
 
@@ -63,30 +61,6 @@ def _subdivide_all(g: Multigraph, s: frozenset[int]):
         orig_eid[e1] = orig_eid[e2] = orig_eid[e3] = eid
         s2.add(e2)
     return g2, frozenset(s2), orig_eid
-
-
-def _algebraic_lower_bound(d: Digraph, sources: list[int],
-                           pairs: list[tuple[int, int]],
-                           rng: random.Random) -> int:
-    """Half the rank of sum x_i (b_p b_q^T - b_q b_p^T) never exceeds the true
-    parity optimum, and matches it with high probability."""
-    if not sources or not pairs:
-        return 0
-    ground = sorted({v for pq in pairs for v in pq})
-    rep = represent(d, sources, ground, rng)
-    dim = rep.mat.nrows
-    y = [[0] * dim for _ in range(dim)]
-    for p, q in pairs:
-        x = rng.randrange(1, PRIME)
-        bp, bq = rep.column(p), rep.column(q)
-        for i in range(dim):
-            for j in range(dim):
-                y[i][j] = (y[i][j] + x * (bp[i] * bq[j] - bq[i] * bp[j])) % PRIME
-    r = FieldMatrix(y, dim).rank()
-    if r % 2:
-        raise AssertionError("antisymmetric matrices have even rank over a big "
-                             "prime field")
-    return r // 2
 
 
 def _search(d: Digraph, sources: list[int], pairs: list[tuple[int, int]],
@@ -193,19 +167,16 @@ def max_flower(g: Multigraph, s: frozenset[int], z: int) -> Flower:
     return Flower(z, petals)
 
 
-def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int, t: int,
-                        rng: Optional[random.Random] = None) -> bool:
+def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int,
+                        t: int) -> bool:
     """Decision version, exact. Fewer than t S-edges or fewer than 2t petal
-    ends at z answer no before the subdivided graph is built. The algebraic
-    bound can only certify yes, and the search decides the rest, so a miss
-    of either bound costs time but never the answer."""
+    ends at z answer no before the subdivided graph is built; the search
+    decides the rest, and answers yes as soon as it has linked t segments."""
     if t <= 0:
         return True
     if not g.has_vertex(z) or len(s) < t or _petal_ends(g, s, z) < 2 * t:
         return False
     _, d, sources, pairs, _ = _setup(g, s, z)
-    if rng is not None and _algebraic_lower_bound(d, sources, pairs, rng) >= t:
-        return True
     return len(_search(d, sources, pairs, t)) >= t
 
 

@@ -8,8 +8,8 @@ that every operation in the package is deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 # A solution candidate is just the set of deleted vertices.
 Solution = frozenset[int]

@@ -6,8 +6,6 @@ the solvers here on instances small enough to enumerate.
 """
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 

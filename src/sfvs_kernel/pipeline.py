@@ -30,13 +30,13 @@ def _normalized(pinst: PairInstance) -> Optional[PairInstance]:
     return norm.instance
 
 
-def run_rules(pinst: PairInstance, provider: Optional[Provider] = None,
-              seed: int = 0) -> PipelineReport:
+def run_rules(pinst: PairInstance,
+              provider: Optional[Provider] = None) -> PipelineReport:
     pinst.validate()
     ninst = _normalized(pinst)
     if ninst is None:
         return PipelineReport("trivial-no", canonical_no(), None, None)
-    rep = reduce_pairs(ninst, provider=provider, seed=seed)
+    rep = reduce_pairs(ninst, provider=provider)
     return PipelineReport(rep.outcome, rep.final, rep, None)
 
 
@@ -52,7 +52,7 @@ def run_matroid(inst: Instance, seed: int = 0) -> PipelineReport:
 
 def run_full(pinst: PairInstance, provider: Optional[Provider] = None,
              seed: int = 0) -> PipelineReport:
-    first = run_rules(pinst, provider=provider, seed=seed)
+    first = run_rules(pinst, provider=provider)
     if first.outcome != "reduced":
         return first
     second = run_matroid(first.final, seed=seed)

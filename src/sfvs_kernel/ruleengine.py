@@ -17,7 +17,6 @@ which is asserted at the moment each rule fires rather than trusted.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -30,15 +29,6 @@ from .pathpacking import exists_apath, gallai_blocker_or_packing
 from .skernel import canonical_no, canonical_yes, check_normalized
 
 Provider = Callable[[Multigraph, frozenset], FeasibleZ]
-
-
-class FlowerEscape(Exception):
-    """Raised when blocker construction finds k+1 disjoint leaf-to-leaf paths
-    through a center z; those lift to a flower, so rule 6 applies after all."""
-
-    def __init__(self, z: int):
-        super().__init__(f"flower of order > k at {z}")
-        self.z = z
 
 
 # ---------------------------------------------------------------- structure
@@ -192,7 +182,8 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
                     z: int, k: int) -> frozenset[int]:
     """Vertices (outside V(S), inside partner territory) whose removal cuts
     every path between two z-adjacent leaves through the inner bubbles.
-    Raises FlowerEscape when k+1 disjoint such paths exist instead.
+    k+1 disjoint such paths would lift to a flower of order k+1 at z, which
+    rule 6 has already ruled out, so finding them raises AssertionError.
     """
     lz = [b for b in dec.leaves() if z in dec.yadj[b]]
     if not lz:
@@ -227,7 +218,8 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
 
     res = gallai_blocker_or_packing(gz, set(pid_of.values()), k)
     if res.packing is not None:
-        raise FlowerEscape(z)
+        raise AssertionError(f"k+1 leaf-to-leaf paths lift to a flower at {z}, "
+                             "which rule 6 has ruled out")
 
     q_of_pid = {pid: far_of[leaf][1] for leaf, pid in pid_of.items()}
     out: set[int] = set()
@@ -364,7 +356,7 @@ def _leaf_edges(g: Multigraph, st: _State, dec: Decomposition, lset: list[int],
     return out
 
 
-def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
+def _apply_once(st: _State) -> Optional[int]:
     g = st.graph
     k = st.k
     sfro = frozenset(st.s)
@@ -399,7 +391,7 @@ def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
 
     # rule 6: a flower exceeding the budget forces its center
     for zv in sorted(st.z):
-        if has_flower_of_order(g, sfro, zv, k + 1, rng):
+        if has_flower_of_order(g, sfro, zv, k + 1):
             _delete_vertex(st, zv)
             return 6
 
@@ -436,14 +428,8 @@ def _apply_once(st: _State, rng: random.Random) -> Optional[int]:
             return 8
 
     # rules 9/10 look at uncovered leaves through the blocker-refined pieces
-    try:
-        blockers = {zv: compute_blocker(g, sfro, dec, zv, k)
-                    for zv in sorted(st.z)}
-    except FlowerEscape as esc:
-        if not has_flower_of_order(g, sfro, esc.z, k + 1, rng):
-            raise AssertionError("escalated packings must lift to flowers")
-        _delete_vertex(st, esc.z)
-        return 6
+    blockers = {zv: compute_blocker(g, sfro, dec, zv, k)
+                for zv in sorted(st.z)}
     b = frozenset().union(*blockers.values()) if blockers else frozenset()
     st.last_blocker = b
     deczb = decompose(g, sfro, frozenset(st.z) | b)
@@ -501,12 +487,11 @@ def finalize(g: Multigraph, s: set[int], pairs: set[frozenset[int]],
 
 
 def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
-                 seed: int = 0, max_steps: Optional[int] = None) -> EngineReport:
+                 max_steps: Optional[int] = None) -> EngineReport:
     pinst.validate()
     check_normalized(Instance(pinst.graph, pinst.s, pinst.k))
     if provider is None:
         provider = lambda g, s: feasible_z_exact(g, s)
-    rng = random.Random(seed)
 
     g = pinst.graph.copy()
     s = set(pinst.s)
@@ -536,7 +521,7 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
         st.steps += 1
         if st.steps > cap:
             raise AssertionError("rule loop exceeded its termination bound")
-        fired = _apply_once(st, rng)
+        fired = _apply_once(st)
         if fired is None:
             break
         st.counts[fired] += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .generators import bubble_forest, gadget_suite, gnm
 from .multigraph import PairInstance
 from .oracle import feasible_z_greedy, solve_exact
-from .pipeline import run_full, run_rules
+from .pipeline import run_matroid, run_rules
 
 SOLVE_CAP = 60   # reduced outputs stay small; the default oracle cap is tighter
 
@@ -56,14 +56,16 @@ def _check_one(rep: SweepReport, tag: str, pinst: PairInstance,
     want = solve_exact(pinst).found
     counts: dict[int, int] = {}
     try:
-        stage1 = run_rules(pinst, provider=provider, seed=seed)
+        stage1 = run_rules(pinst, provider=provider)
         if stage1.engine is not None:
             counts = stage1.engine.rule_counts
         mid = solve_exact(stage1.final, n_cap=SOLVE_CAP).found
         if mid != want:
             rep.failures.append(f"{tag}: rule stage flipped {want} to {mid}")
             return counts
-        full = run_full(pinst, provider=provider, seed=seed)
+        full = stage1
+        if stage1.outcome == "reduced":
+            full = run_matroid(stage1.final, seed)
         rep.outcomes[full.outcome] += 1
         rep.largest_output = max(rep.largest_output, full.final.graph.n)
         got = solve_exact(full.final, n_cap=SOLVE_CAP).found

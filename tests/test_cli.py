@@ -107,6 +107,20 @@ def test_kernelize_is_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_rule_stage_output_does_not_depend_on_seed(tmp_path):
+    # the rule stage draws nothing at random; --seed reaches only the matroid
+    # stage. This instance fires rule 6 on a flower the search finds.
+    path, _ = gen_file(tmp_path, n=80, m=120, s=13, k=3, seed=11)
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"rules-{seed}.out"
+        assert main(["kernelize", str(path), "--stage", "rules", "--provider",
+                     "greedy", "--seed", seed, "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0].startswith(b"# outcome: reduced\n")
+    assert outs[0] == outs[1]
+
+
 def test_kernelize_matroid_rejects_pairs(tmp_path, capsys):
     g = Multigraph.from_edges([1, 2], [(1, 2)])
     p = PairInstance(g, frozenset(), frozenset([frozenset((1, 2))]), 1)

@@ -67,9 +67,8 @@ def test_flower_order_matches_brute_force(seed):
     fl = max_flower(g, s, z)
     assert fl.order == want
     validate_flower(g, s, fl)
-    rng2 = random.Random(seed + 1)
     for t in range(want + 2):
-        assert has_flower_of_order(g, s, z, t, rng2) == (t <= want)
+        assert has_flower_of_order(g, s, z, t) == (t <= want)
 
 
 def test_validate_flower_rejects_overlap():
@@ -139,11 +138,11 @@ def test_too_few_petal_ends_answer_no_without_search(monkeypatch):
         cases += [(g, s, t, brute_force_flower(g, s, 0))
                   for t in range(1, len(s) + 1) if ends < 2 * t]
     assert len(cases) > 100
-    for name in ("_setup", "_search", "_algebraic_lower_bound"):
+    for name in ("_setup", "_search"):
         monkeypatch.setattr(flowers, name, boom)
     for g, s, t, want in cases:
         assert want < t
-        assert not has_flower_of_order(g, s, 0, t, random.Random(t))
+        assert not has_flower_of_order(g, s, 0, t)
 
 
 def test_hub_flowers_match_brute_force(monkeypatch):
@@ -168,8 +167,7 @@ def test_hub_flowers_match_brute_force(monkeypatch):
         assert max_flower(g, s, 0).order == want
         for t in range(want + 2):
             assert has_flower_of_order(g, s, 0, t) == (t <= want)
-            assert has_flower_of_order(g, s, 0, t, rng) == (t <= want)
-    # rng=None leaves every decision the count cannot settle to the search
+    # every decision the count cannot settle goes to the search
     assert sum(1 for args in searches if args[3] is not None) > 60
 
 
@@ -186,7 +184,32 @@ def test_greedy_ladder_flower_decisions_need_no_search(monkeypatch):
 
     monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
     monkeypatch.setattr(flowers, "_search", boom)
-    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy,
-                    seed=0)
+    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy)
     assert rep.outcome == "reduced"
     assert len(decisions) > 0
+
+
+def test_greedy_ladder_yes_decisions_link_one_set_per_petal(monkeypatch):
+    # the search settles each "yes" on its first branch: one `linked` call
+    # per segment added, t in all
+    calls = []
+    decisions = []
+    decide, link = ruleengine.has_flower_of_order, flowers.linked
+
+    def counted_link(*args):
+        calls.append(args)
+        return link(*args)
+
+    def counted(*args):
+        before = len(calls)
+        yes = decide(*args)
+        decisions.append((args[3], yes, len(calls) - before))
+        return yes
+
+    monkeypatch.setattr(flowers, "linked", counted_link)
+    monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
+    rep = run_rules(gnm(150, 225, 25, 3, seed=11), provider=feasible_z_greedy)
+    assert rep.outcome == "trivial-no"
+    yes = [(t, n) for t, ok, n in decisions if ok]
+    assert yes
+    assert all(n == t for t, n in yes)

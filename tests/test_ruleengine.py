@@ -288,7 +288,7 @@ def test_engine_preserves_answer_on_random_instances(seed):
     pinst = random_instance(rng, n_hi=9, k_hi=2, with_pairs=True)
     provider = (lambda g, s: feasible_z_greedy(g, s)) if seed % 2 else None
     want = solve_exact(pinst).found
-    rep = run_rules(pinst, provider=provider, seed=seed)
+    rep = run_rules(pinst, provider=provider)
     assert answer_of(rep.final) == want
     if rep.outcome == "reduced" and rep.engine is not None:
         st_ = rep.engine.stats
