@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 # A solution candidate is just the set of deleted vertices.
 Solution = frozenset[int]
@@ -131,22 +131,29 @@ class Multigraph:
 
     # -- structure ---------------------------------------------------------
 
-    def components(self) -> list[list[int]]:
-        seen: set[int] = set()
+    def components(self, banned_vertices: Collection[int] = (),
+                   banned_edges: Collection[int] = ()) -> list[list[int]]:
+        """Sorted components of g minus the banned vertices and edges, in
+        order of their smallest vertex. Nothing is copied."""
+        seen = set(banned_vertices)
         comps = []
         for start in self.vertices():
             if start in seen:
                 continue
             comp = []
-            queue = deque([start])
+            stack = [start]
             seen.add(start)
-            while queue:
-                v = queue.popleft()
+            while stack:
+                v = stack.pop()
                 comp.append(v)
-                for w in self.neighbors(v):
+                for eid in self._inc[v]:
+                    if eid in banned_edges:
+                        continue
+                    a, b = self.edges[eid]
+                    w = b if a == v else a
                     if w not in seen:
                         seen.add(w)
-                        queue.append(w)
+                        stack.append(w)
             comps.append(sorted(comp))
         return comps
 
@@ -198,8 +205,9 @@ class Multigraph:
                 queue.append(w)
         return None
 
-    def bridges(self) -> set[int]:
-        """Edge ids whose removal disconnects their endpoints.
+    def bridges(self, banned_vertices: Collection[int] = ()) -> set[int]:
+        """Edge ids of g minus the banned vertices whose removal disconnects
+        their endpoints there; edges at a banned vertex are not reported.
 
         Loops and edges with a parallel sibling are never bridges. Tarjan's
         lowlink in one iterative depth-first pass, O(n + m): the search skips
@@ -210,7 +218,7 @@ class Multigraph:
         low: dict[int, int] = {}
         out = set()
         for root in self._inc:
-            if root in order:
+            if root in order or root in banned_vertices:
                 continue
             order[root] = low[root] = len(order)
             stack = [(root, -1, iter(self._inc[root]))]
@@ -221,6 +229,8 @@ class Multigraph:
                         continue
                     a, b = self.edges[eid]
                     w = b if a == v else a
+                    if w in banned_vertices:
+                        continue
                     if w not in order:
                         order[w] = low[w] = len(order)
                         stack.append((w, eid, iter(self._inc[w])))
@@ -303,7 +313,15 @@ def find_s_cycle(g: Multigraph, s: frozenset[int],
 
 def has_s_cycle(g: Multigraph, s: frozenset[int],
                 deleted: frozenset[int] = frozenset()) -> bool:
-    return find_s_cycle(g, s, deleted) is not None
+    """Does some special edge lie on a cycle of g - deleted?
+
+    A special edge with both ends alive lies on a cycle exactly when it is not
+    a bridge of g - deleted (Tarjan 1974), so one bridge pass, O(n + m),
+    answers for all of them. Loops and edges with a parallel sibling are never
+    bridges, which covers the cycles of length 1 and 2.
+    """
+    live = {e for e in s if not deleted.intersection(g.edges[e])}
+    return bool(live) and not live <= g.bridges(deleted)
 
 
 def is_solution(inst: Instance | PairInstance, deleted: frozenset[int]) -> bool:
@@ -446,9 +464,7 @@ def torso(g: Multigraph, w: Iterable[int]) -> Multigraph:
     """
     ws = set(w)
     tg = g.induced(ws)
-    outside = [v for v in g.vertices() if v not in ws]
-    for comp in g.induced(outside).components():
-        comp_set = set(comp)
+    for comp in g.components(banned_vertices=ws):
         boundary = set()
         for c in comp:
             for u in g.neighbors(c):

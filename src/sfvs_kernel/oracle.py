@@ -102,14 +102,12 @@ def _base_endpoints(g: Multigraph, s: frozenset[int]) -> list[int]:
     return sorted(out - vs)
 
 
-def feasible_z_exact(g: Multigraph, s: frozenset[int],
-                     max_k: Optional[int] = None) -> FeasibleZ:
+def feasible_z_exact(g: Multigraph, s: frozenset[int]) -> FeasibleZ:
     """Minimum vertex set avoiding V(S) that kills every S-cycle."""
     vs = set()
     for eid in s:
         vs.update(g.endpoints(eid))
-    cap = max_k if max_k is not None else g.n
-    for budget in range(cap + 1):
+    for budget in range(g.n + 1):
         got = _branch(g, s, frozenset(), budget, set(), frozenset(vs))
         if got is not None:
             return FeasibleZ(frozenset(got), 1)

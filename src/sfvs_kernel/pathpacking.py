@@ -248,8 +248,7 @@ def exists_apath(g: Multigraph, a: frozenset[int],
         for w in g.neighbors(u):
             if w in live_set and w != u:
                 return True
-    rest = [v for v in g.vertices() if v not in a and v not in banned]
-    for comp in g.induced(rest).components():
+    for comp in g.components(banned_vertices=a | banned):
         touched = set()
         for c in comp:
             for u in g.neighbors(c):
@@ -297,8 +296,7 @@ def gallai_blocker_or_packing(g: Multigraph, a: Iterable[int], k: int) -> Gallai
             and aux.node_of[v] in witness}
 
     blocker = set(b_u)
-    rest = [v for v in g.vertices() if v not in b_u]
-    for comp in g.induced(rest).components():
+    for comp in g.components(banned_vertices=b_u):
         in_a = sorted(set(comp) & aset)
         blocker.update(in_a[1:])  # keep one A-vertex per component
 

@@ -55,13 +55,7 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
         for v in g.endpoints(eid):
             if v in y:
                 raise AssertionError("Y must avoid S-edge endpoints")
-    live = [v for v in g.vertices() if v not in y]
-    sub = g.induced(live)
-    for eid in s:
-        if eid in sub.edges:
-            sub.remove_edge(eid)
-    comps = sub.components()
-    bubbles = sorted((frozenset(c) for c in comps), key=min)
+    bubbles = [frozenset(c) for c in g.components(y, s)]
     bubble_of = {v: i for i, c in enumerate(bubbles) for v in c}
 
     adj: dict[int, dict[int, int]] = {i: {} for i in range(len(bubbles))}
@@ -292,7 +286,7 @@ def _rule2(st: _State) -> bool:
         st.s.discard(eid)
         acted = True
     keep = _pair_vertices(st)
-    for comp in sorted(g.components(), key=min):
+    for comp in g.components():
         if keep & set(comp):
             continue
         if not any(e in st.s for v in comp for e in g.incident(v)):
@@ -305,12 +299,8 @@ def _rule2(st: _State) -> bool:
 
 def _rule3(st: _State) -> Optional[int]:
     g = st.graph
-    live = list(g.vertices())
-    sub = g.induced(live)
-    for eid in st.s:
-        sub.remove_edge(eid)
     comp_of: dict[int, int] = {}
-    for i, comp in enumerate(sub.components()):
+    for i, comp in enumerate(g.components(banned_edges=st.s)):
         for v in comp:
             comp_of[v] = i
     for eid in sorted(st.s):
@@ -491,7 +481,7 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
     pinst.validate()
     check_normalized(Instance(pinst.graph, pinst.s, pinst.k))
     if provider is None:
-        provider = lambda g, s: feasible_z_exact(g, s)
+        provider = feasible_z_exact
 
     g = pinst.graph.copy()
     s = set(pinst.s)

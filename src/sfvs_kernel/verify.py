@@ -44,10 +44,6 @@ class SweepReport:
         return out
 
 
-def _greedy(g, s):
-    return feasible_z_greedy(g, s)
-
-
 def _check_one(rep: SweepReport, tag: str, pinst: PairInstance,
                provider, seed: int) -> dict[int, int]:
     """Run both stages on one instance and compare all answers; returns the
@@ -80,25 +76,24 @@ def _check_one(rep: SweepReport, tag: str, pinst: PairInstance,
 
 
 def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
-              k_max: int = 3, include_gadgets: bool = True) -> SweepReport:
+              k_max: int = 3) -> SweepReport:
     rng = random.Random(seed)
     rep = SweepReport()
 
-    if include_gadgets:
-        for gad in gadget_suite():
-            want = solve_exact(gad.pinst).found
-            if want != gad.expected:
-                rep.failures.append(
-                    f"gadget {gad.name}: expected answer {gad.expected}, "
-                    f"solver says {want}")
-                continue
-            counts = _check_one(rep, f"gadget {gad.name}", gad.pinst,
-                                gad.provider, seed)
-            missing = [r for r in gad.fires if not counts.get(r)]
-            if missing:
-                rep.failures.append(
-                    f"gadget {gad.name}: rules {missing} did not fire "
-                    f"(got {sorted(counts)})")
+    for gad in gadget_suite():
+        want = solve_exact(gad.pinst).found
+        if want != gad.expected:
+            rep.failures.append(
+                f"gadget {gad.name}: expected answer {gad.expected}, "
+                f"solver says {want}")
+            continue
+        counts = _check_one(rep, f"gadget {gad.name}", gad.pinst,
+                            gad.provider, seed)
+        missing = [r for r in gad.fires if not counts.get(r)]
+        if missing:
+            rep.failures.append(
+                f"gadget {gad.name}: rules {missing} did not fire "
+                f"(got {sorted(counts)})")
 
     for i in range(trials):
         iseed = rng.randrange(1 << 30)
@@ -111,7 +106,7 @@ def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
         else:
             pinst = bubble_forest(iseed)
             tag = f"bubble-forest[{i}] seed={iseed}"
-        provider = None if (i // 2) % 2 == 0 else _greedy
+        provider = None if (i // 2) % 2 == 0 else feasible_z_greedy
         _check_one(rep, tag, pinst, provider, iseed)
 
     return rep

@@ -140,6 +140,14 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.sfvs")]) == 2
 
 
+def test_directory_as_input_or_output_exits_2(tmp_path, capsys):
+    # unreadable input and unwritable output are input errors, not crashes
+    assert main(["kernelize", str(tmp_path)]) == 2
+    assert main(["gen", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 def test_verify_small_sweep(capsys):
     assert main(["verify", "--trials", "24", "--n-max", "8", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -14,12 +14,12 @@ from sfvs_kernel.oracle import solve_exact
 from sfvs_kernel.skernel import check_normalized
 
 
-def skeleton(g: Multigraph) -> nx.Graph:
+def skeleton(g: Multigraph, banned_vertices=(), banned_edges=()) -> nx.Graph:
     h = nx.Graph()
-    h.add_nodes_from(g.vertices())
+    h.add_nodes_from(v for v in g.vertices() if v not in banned_vertices)
     for eid in g.edges:
         u, v = g.endpoints(eid)
-        if u != v:
+        if u != v and eid not in banned_edges and h.has_node(u) and h.has_node(v):
             h.add_edge(u, v)
     return h
 
@@ -62,23 +62,32 @@ def test_endpoints_of_missing_edge():
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_components_match_reference(seed):
-    g, _ = random_multigraph(random.Random(seed), n_lo=1, n_hi=12)
-    ours = {frozenset(c) for c in g.components()}
-    ref = {frozenset(c) for c in nx.connected_components(skeleton(g))}
-    assert ours == ref
+    rng = random.Random(seed)
+    g, eids = random_multigraph(rng, n_lo=1, n_hi=12)
+    banned_v = set(rng.sample(g.vertices(), rng.randint(0, g.n)))
+    banned_e = set(rng.sample(eids, rng.randint(0, len(eids))))
+    for xs, fs in (((), ()), (banned_v, ()), ((), banned_e),
+                   (banned_v, banned_e)):
+        comps = g.components(xs, fs)
+        ref = nx.connected_components(skeleton(g, xs, fs))
+        assert {frozenset(c) for c in comps} == {frozenset(c) for c in ref}
+        assert all(c == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_bridges_match_reference(seed):
-    g, _ = random_multigraph(random.Random(seed), n_lo=2, n_hi=12)
-    sk = skeleton(g)
-    expect = set()
-    for u, v in nx.bridges(sk):
-        eids = g.edges_between(u, v)
-        if len(eids) == 1:
-            expect.add(eids[0])
-    assert g.bridges() == expect
+    rng = random.Random(seed)
+    g, _ = random_multigraph(rng, n_lo=2, n_hi=12)
+    banned = set(rng.sample(g.vertices(), rng.randint(0, g.n)))
+    for xs in ((), banned):
+        expect = set()
+        for u, v in nx.bridges(skeleton(g, xs)):
+            eids = g.edges_between(u, v)
+            if len(eids) == 1:
+                expect.add(eids[0])
+        assert g.bridges(xs) == expect
 
 
 @given(st.integers(0, 2 ** 32 - 1))

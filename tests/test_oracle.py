@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_solve, random_instance
-from sfvs_kernel.multigraph import Instance, Multigraph, PairInstance, has_s_cycle, is_solution
+from sfvs_kernel.generators import gnm
+from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
+                                    find_s_cycle, has_s_cycle, is_solution,
+                                    normalize)
 from sfvs_kernel.oracle import (MAX_EXACT_BUDGET, MAX_EXACT_VERTICES,
                                 brute_force_flower, feasible_z_exact,
                                 feasible_z_greedy, solve_exact)
@@ -126,6 +129,29 @@ def test_greedy_provider_contract(seed):
     # greedy output is inclusion-minimal
     for v in fz.z:
         assert has_s_cycle(g, s, fz.z - {v})
+
+
+def test_bridge_test_agrees_with_cycle_search_at_scale():
+    # has_s_cycle asks one bridge pass, find_s_cycle searches a path per
+    # S-edge; on normalized gnm graphs of a few hundred vertices they agree,
+    # and the search judges the greedy Z feasible and inclusion-minimal
+    rng = random.Random(7)
+    answers = set()
+    for n in (150, 250, 400):
+        ninst = normalize(gnm(n, 3 * n // 2, n // 6, 3, seed=n)).instance
+        g, s = ninst.graph, ninst.s
+        z = feasible_z_greedy(g, s).z
+        assert find_s_cycle(g, s, z) is None
+        for v in z:
+            assert find_s_cycle(g, s, z - {v}) is not None
+        vs = g.vertices()
+        for _ in range(30):
+            kept = rng.sample(sorted(z), rng.randint(0, len(z)))
+            deleted = frozenset(kept + rng.sample(vs, rng.randint(0, n // 20)))
+            got = has_s_cycle(g, s, deleted)
+            assert got == (find_s_cycle(g, s, deleted) is not None)
+            answers.add(got)
+    assert answers == {False, True}
 
 
 def test_exact_provider_is_minimum():
