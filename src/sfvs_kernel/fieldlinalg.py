@@ -18,7 +18,7 @@ def inverse(a: int) -> int:
     a %= PRIME
     if a == 0:
         raise ZeroDivisionError("0 has no inverse")
-    return pow(a, PRIME - 2, PRIME)
+    return pow(a, -1, PRIME)
 
 
 class FieldMatrix:
@@ -127,12 +127,7 @@ def wedge3_coordinates(a: Sequence[int], b: Sequence[int], c: Sequence[int],
     Index order: pairs {i < j} of first-block rows lexicographically, unit l of
     the second block innermost. Output length is C(d1, 2) * d2.
     """
-    if len(a) != d1 + d2 or len(b) != d1 + d2 or len(c) != d1 + d2:
-        raise ValueError("vector length must be d1 + d2")
-    if any(x % PRIME for x in a[d1:]) or any(x % PRIME for x in b[d1:]):
-        raise ValueError("a and b must vanish on the second block")
-    if any(x % PRIME for x in c[:d1]):
-        raise ValueError("c must vanish on the first block")
+    _check_wedge_blocks(a, b, c, d1, d2)
     out = []
     for i in range(d1):
         ai = a[i] % PRIME
@@ -142,6 +137,35 @@ def wedge3_coordinates(a: Sequence[int], b: Sequence[int], c: Sequence[int],
             for l in range(d2):
                 out.append(minor * c[d1 + l] % PRIME)
     return out
+
+
+def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+                   d1: int, d2: int) -> bool:
+    """Whether a ^ b ^ c is nonzero, with the block layout of
+    wedge3_coordinates, in O(d1 + d2) and without its coordinates.
+
+    The wedge vanishes exactly when c is zero or a and b are parallel on the
+    first block. With a[i] the first nonzero entry of a, b is parallel to a
+    iff every 2x2 minor a[i] b[j] - a[j] b[i] is zero.
+    """
+    _check_wedge_blocks(a, b, c, d1, d2)
+    if not any(x % PRIME for x in c[d1:]):
+        return False
+    i = next((i for i in range(d1) if a[i] % PRIME), None)
+    if i is None:
+        return False
+    ai, bi = a[i], b[i]
+    return any((ai * b[j] - a[j] * bi) % PRIME for j in range(d1))
+
+
+def _check_wedge_blocks(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+                        d1: int, d2: int) -> None:
+    if len(a) != d1 + d2 or len(b) != d1 + d2 or len(c) != d1 + d2:
+        raise ValueError("vector length must be d1 + d2")
+    if any(x % PRIME for x in a[d1:]) or any(x % PRIME for x in b[d1:]):
+        raise ValueError("a and b must vanish on the second block")
+    if any(x % PRIME for x in c[:d1]):
+        raise ValueError("c must vanish on the first block")
 
 
 class IncrementalBasis:

@@ -1,19 +1,37 @@
 """Representative triples over a block matroid via exterior-algebra filtering.
 
-Each triple maps to the coordinate vector of the wedge of its three columns
-(two from the first block, one from the second). A triple whose wedge lies in
-the span of the wedges kept so far can be dropped: any independent extension
-of the dropped triple is also an independent extension of some kept one. The
-filter is a single streaming pass, so the kept family never exceeds the wedge
-space dimension.
+Each triple maps to the wedge of its three columns (two from the first block,
+one from the second), a vector of C(d1,2)*d2 coordinates. A triple whose
+wedge lies in the span of the wedges kept so far can be dropped: any
+independent extension of the dropped triple is also an independent extension
+of some kept one. The filter is a single streaming pass, so the kept family
+never exceeds the wedge space dimension.
+
+Before that pass runs, a certificate is tried. Triples with a zero wedge are
+found by 2x2 minors alone. The m nonzero wedges are mapped through m random
+decomposable functionals ((x.a)(y.b) - (x.b)(y.a))(z.c), which never writes
+out a coordinate vector. If the m x m image has full rank, the wedges are
+independent, since a linear image of a dependent family is dependent, and
+the streaming pass would keep exactly those m triples; they are returned
+directly. Otherwise the streaming pass runs over the m triples as before.
+Either way the result is exact: the sketch's draws decide only how long the
+filter takes, so it adds no failure probability and needs no caller's
+randomness.
 """
 from __future__ import annotations
 
+import random
 from math import comb
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from .fieldlinalg import IncrementalBasis, wedge3_coordinates
+from .fieldlinalg import (PRIME, IncrementalBasis, wedge3_coordinates,
+                          wedge3_nonzero)
 from .gammoid import MatroidRep
+
+Columns = tuple[list[int], list[int], list[int]]
+
+# Any fixed value: the kept family does not depend on the draws.
+_SKETCH_SEED = 8
 
 
 def representative_triples(rep: MatroidRep, d1: int, d2: int,
@@ -29,13 +47,67 @@ def representative_triples(rep: MatroidRep, d1: int, d2: int,
     if rep.mat.nrows != d1 + d2:
         raise ValueError("row count must match the two block dimensions")
     dim = comb(d1, 2) * d2
-    basis = IncrementalBasis()
-    kept: list[tuple[Hashable, Hashable, Hashable]] = []
-    for a, b, c in triples:
-        ca, cb, cc = rep.column(a), rep.column(b), rep.column(c)
-        vec = wedge3_coordinates(ca, cb, cc, d1, d2)
-        if any(vec) and basis.add(vec):
-            kept.append((a, b, c))
+    cols = [(rep.column(a), rep.column(b), rep.column(c)) for a, b, c in triples]
+    live = [i for i, (ca, cb, cc) in enumerate(cols)
+            if wedge3_nonzero(ca, cb, cc, d1, d2)]
+    live_cols = [cols[i] for i in live]
+    if not (len(live) <= dim and _independent(live_cols, d1)):
+        live = [live[j] for j in _eliminate(live_cols, d1, d2)]
+    kept = [triples[i] for i in live]
     if len(kept) > dim:
         raise AssertionError("kept wedges exceed the wedge space dimension")
     return kept
+
+
+def _independent(cols: list[Columns], d1: int) -> bool:
+    """True if the wedges of cols are certainly linearly independent: their
+    images under len(cols) random decomposable functionals are. False means
+    the image was singular, which independent wedges give only by chance."""
+    m = len(cols)
+    if not m:
+        return True
+    rng = random.Random(_SKETCH_SEED)
+    d2 = len(cols[0][2]) - d1
+    xy_of = _random_projector(rng, d1, 2 * m)   # x_1..x_m, then y_1..y_m
+    z_of = _random_projector(rng, d2, m)
+    basis = IncrementalBasis()
+    for a, b, c in cols:
+        pa, pb, zc = xy_of(a[:d1]), xy_of(b[:d1]), z_of(c[d1:])
+        image = [(xa * yb - xb * ya) % PRIME * zci
+                 for xa, xb, ya, yb, zci in zip(pa, pb, pa[m:], pb[m:], zc)]
+        if not basis.add(image):
+            return False
+    return True
+
+
+def _random_projector(rng: random.Random, dim: int, count: int
+                      ) -> Callable[[Sequence[int]], list[int]]:
+    """The map v -> [f . v for f in F] for `count` random functionals F on
+    vectors of length `dim` with entries in [0, p).
+
+    Kronecker substitution: coordinate j of every functional lives in one
+    int, a slot of `width` bytes per functional holding a random value below
+    2^61, with room above it so that no dot product carries into the next
+    slot. One combination of these ints holds all the dot products at once,
+    unreduced, and drawing a coordinate is one draw of random bytes.
+    """
+    width = (2 * PRIME.bit_length() + dim.bit_length() + 7) // 8
+    size = width * count
+    slot = (1 << PRIME.bit_length()) - 1
+    mask = int.from_bytes(slot.to_bytes(width, "little") * count, "little")
+    packed = [int.from_bytes(rng.randbytes(size), "little") & mask
+              for _ in range(dim)]
+
+    def project(v: Sequence[int]) -> list[int]:
+        buf = sum(p * x for p, x in zip(packed, v) if x).to_bytes(size, "little")
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, size, width)]
+    return project
+
+
+def _eliminate(cols: list[Columns], d1: int, d2: int) -> list[int]:
+    """The streaming filter: indices of the cols whose wedge is independent
+    of the wedges kept before it."""
+    basis = IncrementalBasis()
+    return [i for i, (a, b, c) in enumerate(cols)
+            if basis.add(wedge3_coordinates(a, b, c, d1, d2))]

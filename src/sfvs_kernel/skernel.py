@@ -9,7 +9,9 @@ A vertex v matters for some solution only if {v', v'', v-hat} extends to an
 independent set, so a representative family of those triples pins down a set
 W with all of T such that the torso of G onto W is an equivalent instance.
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
-a random matrix misrepresents the gammoid.
+a random matrix misrepresents the gammoid. The representative-set filter adds
+no failure probability: its random sketch decides only how fast it runs, not
+what it keeps (see repsets).
 """
 from __future__ import annotations
 

@@ -1,13 +1,22 @@
 """Streaming representative-triple filter over block matroids."""
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
 from helpers import check_representative, random_block_matroid
-from sfvs_kernel.fieldlinalg import FieldMatrix
+from sfvs_kernel import repsets
+from sfvs_kernel.cli import main
+from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
+                                     wedge3_coordinates, wedge3_nonzero)
 from sfvs_kernel.gammoid import MatroidRep, direct_sum, uniform_rep
+from sfvs_kernel.generators import gnm
+from sfvs_kernel.instancefile import write_instance
+from sfvs_kernel.multigraph import normalize
 from sfvs_kernel.repsets import representative_triples
+from sfvs_kernel.skernel import kernelize_by_s
+from sfvs_kernel.verify import run_sweep
 
 
 def test_kept_family_is_representative():
@@ -48,3 +57,205 @@ def test_row_count_mismatch_rejected():
     m = uniform_rep(("a", "b", "c"), 2)
     with pytest.raises(ValueError):
         representative_triples(m, 2, 1, [])
+
+
+# -- the certificate against the exact streaming filter ------------------------
+
+
+def exact_filter(rep, d1, d2, triples):
+    """The streaming filter with no certificate: every wedge written out and
+    reduced against the basis of the wedges kept before it."""
+    if rep.mat.nrows != d1 + d2:
+        raise ValueError("row count must match the two block dimensions")
+    basis = IncrementalBasis()
+    kept = []
+    for a, b, c in triples:
+        vec = wedge3_coordinates(rep.column(a), rep.column(b), rep.column(c),
+                                 d1, d2)
+        if any(vec) and basis.add(vec):
+            kept.append((a, b, c))
+    return kept
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Count how each call of the filter was settled: `certified`,
+    `refuted` (the sketch found a dependent image row) and `exact` (the
+    streaming filter ran)."""
+    seen = Counter()
+    independent, eliminate = repsets._independent, repsets._eliminate
+
+    def counted_independent(*args):
+        ok = independent(*args)
+        seen["certified" if ok else "refuted"] += 1
+        return ok
+
+    def counted_eliminate(*args):
+        seen["exact"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(repsets, "_independent", counted_independent)
+    monkeypatch.setattr(repsets, "_eliminate", counted_eliminate)
+    return seen
+
+
+def block_rep(first, second, first_labels, second_labels):
+    """Direct sum of two explicit blocks, given as lists of rows."""
+    return direct_sum(
+        MatroidRep(FieldMatrix(first, len(first_labels)), tuple(first_labels)),
+        MatroidRep(FieldMatrix(second, len(second_labels)), tuple(second_labels)))
+
+
+def test_certificate_matches_exact_filter_on_random_block_matroids(paths):
+    rng = random.Random(81)
+    for _ in range(300):
+        m, d1, d2, triples = random_block_matroid(rng, d1_hi=6, d2_hi=3,
+                                                  ground_hi=12)
+        assert representative_triples(m, d1, d2, triples) == \
+            exact_filter(m, d1, d2, triples)
+    # the random family reaches the certificate and the exact filter both
+    assert paths["certified"] > 0 and paths["exact"] > 0
+
+
+def test_independent_wedges_are_certified(paths, monkeypatch):
+    # e0^e1, e0^e2, e1^e2 tensored with independent y's: all independent
+    rep = block_rep([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]],
+                    ("x0", "x1", "x2"), ("y0", "y1"))
+    triples = [("x0", "x1", "y0"), ("x0", "x2", "y1"), ("x1", "x2", "y0"),
+               ("x0", "x1", "y1")]
+    monkeypatch.setattr(repsets, "_eliminate", None)   # must not be reached
+    assert representative_triples(rep, 3, 2, triples) == triples
+    assert paths["certified"] == 1
+
+
+def test_dependent_nonzero_wedges_fall_back_to_exact_filter(paths):
+    # x2 = x0 + x1, so x0^x2 = x0^x1: nonzero and dependent, with 3 <= dim 3
+    rep = block_rep([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], [[1]],
+                    ("x0", "x1", "x2", "x3"), ("y0",))
+    triples = [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x1", "x3", "y0")]
+    want = [triples[0], triples[2]]
+    assert exact_filter(rep, 3, 1, triples) == want
+    assert representative_triples(rep, 3, 1, triples) == want
+    assert paths == Counter(refuted=1, exact=1)
+
+
+def test_more_nonzero_wedges_than_dimension_skip_the_sketch(paths):
+    # d1 = 2, d2 = 1: the wedge space has dimension 1
+    rep = block_rep([[1, 0, 1], [0, 1, 1]], [[1]], ("x0", "x1", "x2"), ("y0",))
+    triples = [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x1", "x2", "y0")]
+    assert representative_triples(rep, 2, 1, triples) == triples[:1]
+    assert paths == Counter(exact=1)
+
+
+def test_each_kind_of_zero_wedge_is_dropped(paths):
+    # z0 is a zero column of the first block, x2 = 2*x0, y1 a zero column
+    rep = block_rep([[1, 0, 2, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 1, 0]],
+                    [[1, 0, 3]], ("x0", "x1", "x2", "x3", "z0"),
+                    ("y0", "y1", "y2"))
+    zero = [("x0", "x1", "y1"),     # c = 0
+            ("z0", "x1", "y0"),     # a = 0
+            ("x1", "z0", "y2"),     # b = 0
+            ("x0", "x2", "y0")]     # a parallel to b
+    live = [("x0", "x1", "y0"), ("x1", "x3", "y2"), ("x0", "x3", "y0")]
+    triples = [zero[0], live[0], zero[1], zero[2], live[1], zero[3], live[2]]
+    for a, b, c in zero:
+        assert not wedge3_nonzero(rep.column(a), rep.column(b), rep.column(c),
+                                  3, 1)
+    assert representative_triples(rep, 3, 1, triples) == live
+    assert exact_filter(rep, 3, 1, triples) == live
+    assert paths == Counter(certified=1)
+
+
+def test_zero_wedge_predicate_matches_coordinates():
+    rng = random.Random(82)
+    kinds = Counter()
+    for _ in range(400):
+        d1, d2 = rng.randint(0, 5), rng.randint(0, 3)
+
+        def block(lo, hi):
+            vec = [0] * (d1 + d2)
+            for i in range(lo, hi):
+                vec[i] = rng.choice((0, 1, PRIME - 1, rng.randrange(PRIME)))
+            return vec
+
+        a, b, c = block(0, d1), block(0, d1), block(d1, d1 + d2)
+        kind = rng.randrange(4)
+        if kind == 1:                           # b parallel to a
+            lam = rng.randrange(PRIME)
+            b = [lam * x for x in a]
+        elif kind == 2:                         # entries not reduced mod p
+            a = [x + PRIME * rng.randint(-2, 2) for x in a]
+            c = [x - PRIME for x in c]
+        elif kind == 3:                         # a zero or c zero
+            a, c = (a, [0] * len(c)) if rng.random() < 0.5 else ([0] * len(a), c)
+        got = wedge3_nonzero(a, b, c, d1, d2)
+        assert got == any(wedge3_coordinates(a, b, c, d1, d2))
+        kinds[got] += 1
+    assert kinds[True] > 50 and kinds[False] > 50
+
+
+def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
+    # column "w" reaches into the second block, column "v" into the first
+    rep = MatroidRep(FieldMatrix([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0],
+                                  [0, 0, 0, 1, 1]], 5),
+                     ("x0", "x1", "x2", "y0", "w"))
+    bad = [[("w", "x0", "y0")], [("x0", "x1", "w")],
+           [("x0", "x1", "y0"), ("x1", "w", "y0")],
+           [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x0", "x1", "w")]]
+    with pytest.raises(ValueError):
+        wedge3_nonzero([1, 0, 1], [0, 1, 0], [0, 0, 1], 2, 1)
+    with pytest.raises(ValueError):
+        wedge3_nonzero([1, 0, 0], [0, 1, 0], [1, 0, 1], 2, 1)
+    with pytest.raises(ValueError):
+        wedge3_nonzero([1, 0], [0, 1, 0], [0, 0, 1], 2, 1)
+    for triples in bad:
+        with pytest.raises(ValueError):
+            representative_triples(rep, 2, 1, triples)
+    monkeypatch.setattr(repsets, "_independent", lambda cols, d1: False)
+    for triples in bad:
+        with pytest.raises(ValueError):
+            representative_triples(rep, 2, 1, triples)
+
+
+# -- the certificate inside the matroid stage ----------------------------------
+
+
+def matroid_wide(n):
+    """The benchmark's matroid-wide inputs: normalized gnm(n, 3n/2, n/6 + 2)."""
+    return normalize(gnm(n, 3 * n // 2, n // 6 + 2, 3, 11)).instance
+
+
+def test_matroid_wide_inputs_need_no_elimination(paths, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact filter ran")
+
+    monkeypatch.setattr(repsets, "_eliminate", refuse)
+    for n, kept in ((90, 67), (100, 77), (105, 78)):
+        report = kernelize_by_s(matroid_wide(n).drop_pairs(), seed=3)
+        assert report.shortcut is None and report.kept_triples == kept
+    assert paths["certified"] == 3
+
+
+def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "in.sfvs"
+    write_instance(str(path), matroid_wide(90))
+
+    def kernelize(seed, tag):
+        out = tmp_path / f"{tag}-{seed}.out"
+        assert main(["kernelize", str(path), "--stage", "matroid",
+                     "--seed", seed, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    certified = {seed: kernelize(seed, "certified") for seed in ("1", "11")}
+    monkeypatch.setattr(repsets, "_independent", lambda cols, d1: False)
+    for seed, want in certified.items():
+        got = kernelize(seed, "exact")
+        assert got.startswith(b"# outcome: reduced\n")
+        assert got == want
+
+
+def test_default_sweep_runs_both_paths(paths):
+    assert run_sweep().ok
+    assert paths["certified"] > 0
+    assert paths["refuted"] > 0
+    assert paths["exact"] > paths["refuted"]   # some calls have m > dim
