@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the prime field F_p, p = 2^61 - 1.
 
-Matrices are lists of rows of ints in [0, p). Everything is deterministic:
-elimination always picks the first nonzero entry as pivot. The prime is large
-enough that every randomized construction in one pipeline run stays far below
-any noticeable failure probability, and small enough that Python int products
-stay cheap.
+A FieldMatrix is a list of rows of ints in [0, p). IncrementalBasis packs
+each of its rows, and each vector it reduces, into one Python int with a
+fixed-width slot per coordinate, so a row update is one multiply and one add
+of whole ints. Everything is deterministic: elimination always picks the
+first nonzero entry as pivot. The prime is large enough that every randomized
+construction in one pipeline run stays far below any noticeable failure
+probability, and small enough that Python int products stay cheap.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 PRIME = (1 << 61) - 1
+_BITS = PRIME.bit_length()
 
 
 def inverse(a: int) -> int:
@@ -85,7 +88,8 @@ class FieldMatrix:
             for i, row in enumerate(m):
                 f = row[col]
                 if f and i != r:
-                    _sub_multiple(row, col, f, tail)
+                    # columns left of col are zero in lead, so they are skipped
+                    row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], tail)]
             pivots.append(col)
             r += 1
         return FieldMatrix._wrap(m, self.ncols), pivots
@@ -171,43 +175,95 @@ def _check_wedge_blocks(a: Sequence[int], b: Sequence[int], c: Sequence[int],
 class IncrementalBasis:
     """Grow a basis one vector at a time; add() reports linear independence.
 
-    Rows are kept in echelon form, sorted by pivot column. Each row is stored
-    from its pivot (a 1) rightward; left of it the row is zero.
+    Rows are kept in echelon form, sorted by pivot column. Each row has a 1 at
+    its pivot and zeros left of it, and is reduced against the rows that were
+    in the basis when it was added.
+
+    Every stored row, and every vector being reduced, is one Python int. The
+    first vector's length n fixes a slot of w = 2*61 + bit_length(n) + 1
+    bits, rounded up to whole bytes, and coordinate j sits in slot n - 1 - j
+    counted from the least significant end; so a row with pivot c is below
+    2^((n - c) w). Reducing against a row with pivot c takes f = (that slot)
+    mod p and adds (p - f) * row: one multiply and one add of whole ints.
+    Slots are not reduced between updates, so they stay non-negative, and
+    none carries into the next: a slot starts below p, each update adds at
+    most (p - 1)^2 < 2^122 to it, and there are at most n updates, so it
+    stays below 2^61 + n 2^122 < 2^(w - 1). After the last update every slot
+    is brought below p at once (see _canonical).
     """
 
     def __init__(self) -> None:
+        self._ncols: Optional[int] = None
         self._pivots: list[int] = []
-        self._tails: list[list[int]] = []
+        self._rows: list[int] = []
 
     def __len__(self) -> int:
         return len(self._pivots)
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
-        v = [x % PRIME for x in vec]
-        for col, tail in zip(self._pivots, self._tails):
-            f = v[col]
-            if f:
-                _sub_multiple(v, col, f, tail)
-        return v
+        return self._unpack(self._reduce(self._pack(vec)))
 
     def add(self, vec: Sequence[int]) -> bool:
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        v = self._reduce(self._pack(vec))
+        if not v:
             return False
-        iv = inverse(v[pivot])
+        top = (v.bit_length() - 1) // self._bits   # the first nonzero slot
+        pivot = self._ncols - 1 - top
         i = bisect_left(self._pivots, pivot)
         self._pivots.insert(i, pivot)
-        self._tails.insert(i, [x * iv % PRIME for x in v[pivot:]])
+        self._rows.insert(i, self._canonical(v * inverse(v >> top * self._bits)))
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._reduce(self._pack(vec))
 
+    def _pack(self, vec: Sequence[int]) -> int:
+        """vec as one int, coordinates reduced mod p. The first vector fixes
+        the length and the slot layout; later ones must match it."""
+        n = len(vec)
+        if self._ncols is None:
+            self._ncols = n
+            self._width = (2 * _BITS + n.bit_length() + 1 + 7) // 8
+            self._bits = 8 * self._width
+            self._zero = bytes(self._width)
+            # 1, p and 2^(bits - 61) - 1 in every slot, for _canonical
+            self._ones = int.from_bytes((1).to_bytes(self._width, "big") * n, "big")
+            self._low = self._ones * PRIME
+            self._high = self._ones * ((1 << (self._bits - _BITS)) - 1)
+        elif n != self._ncols:
+            raise ValueError(f"vector of length {n} in a basis of length {self._ncols}")
+        w, zero = self._width, self._zero
+        return int.from_bytes(b"".join(
+            [(x % PRIME).to_bytes(w, "big") if x else zero for x in vec]), "big")
 
-def _sub_multiple(row: list[int], col: int, f: int, tail: Sequence[int]) -> None:
-    """row -= f * lead in place, where lead is zero left of col and tail is
-    lead[col:]. The one row update behind rref (and so rank and dualize) and
-    IncrementalBasis: columns left of col do not change, so they are skipped."""
-    row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], tail)]
+    def _unpack(self, v: int) -> list[int]:
+        w = self._width
+        buf = v.to_bytes(w * self._ncols, "big")
+        return [int.from_bytes(buf[i:i + w], "big") for i in range(0, len(buf), w)]
+
+    def _reduce(self, v: int) -> int:
+        """v against every row, in pivot order, with slots below p."""
+        last, bits = self._ncols - 1, self._bits
+        slot = (1 << bits) - 1
+        for col, row in zip(self._pivots, self._rows):
+            f = ((v >> (last - col) * bits) & slot) % PRIME
+            if f:
+                v += (PRIME - f) * row
+        return self._canonical(v)
+
+    def _canonical(self, v: int) -> int:
+        """v with every slot reduced mod p, all slots at once.
+
+        p = 2^61 - 1, so s = 2^61 h + l is congruent to h + l: folding each
+        slot's bits above 61 onto its low 61 bits until none are left leaves
+        every slot in [0, p], and the slots equal to p, found as those where
+        adding 1 reaches bit 61, are cleared.
+        """
+        ones, low, high = self._ones, self._low, self._high
+        while True:
+            h = (v >> _BITS) & high
+            if not h:
+                break
+            v = (v & low) + h
+        return v - (((v + ones) >> _BITS) & ones) * PRIME
 

@@ -286,8 +286,132 @@ def test_elimination_matches_full_row_reference(shape):
         for row in m.rows + [[rng.randrange(PRIME) for _ in range(m.ncols)]]:
             assert basis.add(row) == ref.add(row)
         assert basis._pivots == sorted(ref.pivot_of)
-        assert [[0] * p + tail for p, tail in zip(basis._pivots, basis._tails)] \
+        assert [basis._unpack(row) for row in basis._rows] \
             == [ref.rows[ref.pivot_of[p]] for p in sorted(ref.pivot_of)]
         probe = [rng.randrange(PRIME) for _ in range(m.ncols)]
         assert basis.reduce(probe) == ref.reduce(probe)
     assert (deficient == 150) == (shape == "deficient")
+
+
+# -- the packed basis against RefBasis at the callers' sizes ------------------
+
+
+def assert_matches_ref(rows, probes):
+    """Feed rows to both bases; every answer, the pivots, the stored rows
+    (unpacked) and each probe's reduction must agree."""
+    basis, ref = IncrementalBasis(), RefBasis()
+    for row in rows:
+        assert basis.add(row) == ref.add(row)
+    assert len(basis) == len(ref.rows)
+    assert basis._pivots == sorted(ref.pivot_of)
+    assert [basis._unpack(row) for row in basis._rows] \
+        == [ref.rows[ref.pivot_of[p]] for p in sorted(ref.pivot_of)]
+    for probe in probes:
+        want = ref.reduce(probe)
+        assert basis.reduce(probe) == want
+        assert basis.contains(probe) == (not any(want))
+
+
+def combination(rng, rows, ncols):
+    picked = rng.sample(rows, min(3, len(rows)))
+    coef = [rng.randrange(PRIME) for _ in picked]
+    return [sum(c * r[j] for c, r in zip(coef, picked)) % PRIME
+            for j in range(ncols)]
+
+
+@pytest.mark.parametrize("m", [60, 89, 120])
+def test_packed_basis_square_certificate_size(m):
+    """m x m rows like the certificate's image rows, with a few dependent
+    rows mixed in before the basis is full."""
+    rng = random.Random(m)
+    rows = []
+    for _ in range(m):
+        if len(rows) > 3 and rng.random() < 0.1:
+            rows.append(combination(rng, rows, m))
+        rows.append([rng.randrange(PRIME) for _ in range(m)])
+    probes = [[rng.randrange(PRIME) for _ in range(m)], combination(rng, rows, m)]
+    assert_matches_ref(rows, probes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_basis_wide_short_exact_filter_size(seed):
+    """About 8 x 600 rows like the exact filter's wedge rows: long runs of
+    zero columns between sparse supports, and dependent rows."""
+    rng = random.Random(seed)
+    ncols = rng.randint(560, 640)
+    support = sorted(rng.sample(range(ncols), 40))
+    rows = []
+    for _ in range(8):
+        row = [0] * ncols
+        for j in rng.sample(support, 12):
+            row[j] = rng.randrange(1, PRIME)
+        rows.append(row)
+    for i in (3, 6, 9):
+        rows.insert(i, combination(rng, rows[:i], ncols))
+    rows.append([0] * ncols)
+    probes = [combination(rng, rows, ncols),
+              [rng.randrange(PRIME) if j in support else 0 for j in range(ncols)]]
+    assert_matches_ref(rows, probes)
+
+
+def test_packed_basis_reduces_unreduced_entries():
+    rng = random.Random(5)
+    ncols = 30
+    rows = [[rng.choice([-1, -PRIME, PRIME, PRIME + 1, 2 * PRIME - 1, -(PRIME + 7),
+                         rng.randrange(-10 * PRIME, 10 * PRIME), 0, PRIME ** 3 + 2])
+             for _ in range(ncols)] for _ in range(40)]
+    probes = [[-x for x in rows[0]], [x + PRIME for x in rows[1]],
+              [rng.randrange(-PRIME ** 2, PRIME ** 2) for _ in range(ncols)]]
+    assert_matches_ref(rows, probes)
+    basis = IncrementalBasis()
+    assert basis.add([PRIME + 2, -1, 0])
+    assert not basis.add([2, PRIME - 1, 0])
+    assert basis.contains([-2 * PRIME - 4, 2, PRIME])
+
+
+@pytest.mark.parametrize("ncols", [16, 31, 255, 600])
+def test_packed_basis_slot_takes_the_largest_updates(ncols):
+    """Rows e_i + (p - 1) e_last, i < last, with f = 1 at every pivot: the
+    probe's last slot starts at p - 1 and receives ncols - 1 updates of
+    (p - 1)^2, the most any slot can get that are that large (the row with
+    a slot's own pivot adds less than p). 16 and 31 columns use a slot of
+    exactly 2*61 + 6 = 128 bits, so no spare bit comes from rounding."""
+    last = ncols - 1
+    rows = []
+    for i in range(last):
+        row = [0] * ncols
+        row[i], row[last] = 1, PRIME - 1
+        rows.append(row)
+    probe = [1] * last + [PRIME - 1]
+    basis = IncrementalBasis()
+    assert all(basis.add(row) for row in rows)
+    # (p - 1) + (n - 1)(p - 1)^2 = -1 + (n - 1) = n - 2 mod p
+    assert basis.reduce(probe) == [0] * last + [ncols - 2]
+    if ncols <= 255:
+        assert_matches_ref(rows, [probe])
+
+
+def test_packed_basis_empty_vector():
+    basis = IncrementalBasis()
+    assert not basis.add([])
+    assert len(basis) == 0
+    assert basis.reduce([]) == []
+    assert basis.contains([])
+    with pytest.raises(ValueError):
+        basis.add([1])
+
+
+def test_basis_rejects_a_length_mismatch():
+    basis = IncrementalBasis()
+    assert basis.add([1, 2, 3])
+    for call in (basis.add, basis.reduce, basis.contains):
+        with pytest.raises(ValueError):
+            call([1, 2])
+        with pytest.raises(ValueError):
+            call([0, 0, 0, 1])
+    assert len(basis) == 1 and basis._pivots == [0]
+    # the first vector fixes the length, even when it is dependent
+    zero_first = IncrementalBasis()
+    assert not zero_first.add([0, 0])
+    with pytest.raises(ValueError):
+        zero_first.add([1, 0, 0])
