@@ -4,7 +4,9 @@ from typing import Optional
 
 import networkx as nx
 
-from sfvs_kernel.multigraph import Instance, Multigraph, PairInstance, is_solution
+from sfvs_kernel.generators import gnm
+from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance, is_solution,
+                                     normalize)
 
 
 def random_multigraph(rng, n_lo=2, n_hi=10, m_hi=None, allow_loops=True):
@@ -166,3 +168,18 @@ def check_representative(m, d1, d2, triples, kept):
                 assert any(m.rank_of(set(b) | set(t2)) == size + 3
                            for t2 in kept), (b, t)
     return checked
+
+
+def matroid_wide(n):
+    """The benchmark's matroid-wide inputs: normalized gnm(n, 3n/2, n/6 + 2)."""
+    return normalize(gnm(n, 3 * n // 2, n // 6 + 2, 3, 11)).instance
+
+
+def broken_core(g, t):
+    """A stand-in for skernel.cycle_core whose smallest S-endpoint lost its
+    plain edge."""
+    g = g.copy()
+    p = min(t)
+    g.remove_edge(next(e for e in g.incident(p)
+                       if set(g.endpoints(e)) - set(t)))
+    return g

@@ -5,15 +5,14 @@ from math import comb
 
 import pytest
 
-from helpers import check_representative, random_block_matroid
+from helpers import check_representative, matroid_wide, random_block_matroid
 from sfvs_kernel import repsets
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
                                      wedge3_coordinates, wedge3_nonzero)
 from sfvs_kernel.gammoid import MatroidRep, direct_sum, uniform_rep
-from sfvs_kernel.generators import gnm
 from sfvs_kernel.instancefile import write_instance
-from sfvs_kernel.multigraph import normalize
+from sfvs_kernel.multigraph import Instance, Multigraph
 from sfvs_kernel.repsets import representative_triples
 from sfvs_kernel.skernel import kernelize_by_s
 from sfvs_kernel.verify import run_sweep
@@ -220,17 +219,12 @@ def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
 # -- the certificate inside the matroid stage ----------------------------------
 
 
-def matroid_wide(n):
-    """The benchmark's matroid-wide inputs: normalized gnm(n, 3n/2, n/6 + 2)."""
-    return normalize(gnm(n, 3 * n // 2, n // 6 + 2, 3, 11)).instance
-
-
 def test_matroid_wide_inputs_need_no_elimination(paths, monkeypatch):
     def refuse(*args):
         raise AssertionError("the exact filter ran")
 
     monkeypatch.setattr(repsets, "_eliminate", refuse)
-    for n, kept in ((90, 67), (100, 77), (105, 78)):
+    for n, kept in ((90, 47), (100, 55), (105, 54)):
         report = kernelize_by_s(matroid_wide(n).drop_pairs(), seed=3)
         assert report.shortcut is None and report.kept_triples == kept
     assert paths["certified"] == 3
@@ -254,8 +248,26 @@ def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
         assert got == want
 
 
+def wide_core(n=10):
+    """Two S-edges hanging off a Moebius ladder on n vertices, at k = 1:
+    every ladder vertex has degree >= 3, so the cycle core keeps them all
+    and more than C(4,2) * 1 = 6 of them have a nonzero wedge."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, i + n // 2) for i in range(1, n // 2 + 1)]
+    g = Multigraph.from_edges(range(1, n + 1), edges)
+    s = []
+    for a, b, p in ((1, 4, n + 1), (6, 8, n + 3)):
+        g.add_edge(a, p)
+        s.append(g.add_edge(p, p + 1))
+        g.add_edge(p + 1, b)
+    return Instance(g, frozenset(s), 1)
+
+
 def test_default_sweep_runs_both_paths(paths):
     assert run_sweep().ok
     assert paths["certified"] > 0
     assert paths["refuted"] > 0
+    # the sweep's cores are small, so a call with m > dim comes from here
+    report = kernelize_by_s(wide_core(), seed=0)
+    assert report.n_core == report.n_input == 14
     assert paths["exact"] > paths["refuted"]   # some calls have m > dim
