@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over the prime field F_p, p = 2^61 - 1.
+"""Exact linear algebra over the prime field F_p, p = 2^61 - 1.
 
-A FieldMatrix is a list of rows of ints in [0, p). IncrementalBasis packs
-each of its rows, and each vector it reduces, into one Python int with a
-fixed-width slot per coordinate, so a row update is one multiply and one add
-of whole ints. Everything is deterministic: elimination always picks the
-first nonzero entry as pivot. The prime is large enough that every randomized
-construction in one pipeline run stays far below any noticeable failure
-probability, and small enough that Python int products stay cheap.
+A FieldMatrix is a list of rows of ints in [0, p). Every elimination in the
+package (rref, rank, dualize, the representative-set filter) runs in an
+IncrementalBasis, which packs each of its rows, and each vector it reduces,
+into one Python int with a fixed-width slot per coordinate, so a row update
+is one multiply and one add of whole ints. Everything is deterministic:
+elimination always picks the first nonzero entry as pivot. The prime is large
+enough that every randomized construction in one pipeline run stays far below
+any noticeable failure probability, and small enough that Python int products
+stay cheap.
 """
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
@@ -59,9 +62,6 @@ class FieldMatrix:
             m.rows[i][i] = 1
         return m
 
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix([list(r) for r in self.rows], self.ncols)
-
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.rows]
 
@@ -70,38 +70,22 @@ class FieldMatrix:
         return FieldMatrix([[row[j] for j in js] for row in self.rows], len(js))
 
     def rref(self) -> tuple["FieldMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns (Gauss-Jordan)."""
-        m = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            if r == len(m):
-                break
-            sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-            if sel is None:
-                continue
-            m[r], m[sel] = m[sel], m[r]
-            lead = m[r]
-            iv = inverse(lead[col])
-            tail = [x * iv % PRIME for x in lead[col:]]
-            lead[col:] = tail
-            for i, row in enumerate(m):
-                f = row[col]
-                if f and i != r:
-                    # columns left of col are zero in lead, so they are skipped
-                    row[col:] = [(x - f * y) % PRIME for x, y in zip(row[col:], tail)]
-            pivots.append(col)
-            r += 1
-        return FieldMatrix._wrap(m, self.ncols), pivots
+        """Reduced row echelon form and its pivot columns: the rows go into an
+        IncrementalBasis, then each row, bottom-up, is reduced against the
+        rows below it. The form is unique, whatever the order of operations."""
+        basis = _basis_of(self.rows)
+        rows = basis._rows
+        for i in reversed(range(len(rows))):
+            rows[i] = basis._reduce(rows[i], i + 1)
+        out = [basis._unpack(r) for r in rows]
+        out += [[0] * self.ncols for _ in range(self.nrows - len(rows))]
+        return FieldMatrix._wrap(out, self.ncols), list(basis._pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_basis_of(self.rows))
 
     def rank_of_columns(self, js: Iterable[int]) -> int:
-        basis = IncrementalBasis()
-        for j in js:
-            basis.add(self.column(j))
-        return len(basis)
+        return len(_basis_of(self.column(j) for j in js))
 
 
 def dualize(m: FieldMatrix) -> FieldMatrix:
@@ -187,9 +171,10 @@ class IncrementalBasis:
     mod p and adds (p - f) * row: one multiply and one add of whole ints.
     Slots are not reduced between updates, so they stay non-negative, and
     none carries into the next: a slot starts below p, each update adds at
-    most (p - 1)^2 < 2^122 to it, and there are at most n updates, so it
-    stays below 2^61 + n 2^122 < 2^(w - 1). After the last update every slot
-    is brought below p at once (see _canonical).
+    most (p - 1)^2 < 2^122 to it, and there are at most n updates (n - 1
+    when FieldMatrix.rref back-substitutes a stored row against the rows
+    after it), so it stays below 2^61 + n 2^122 < 2^(w - 1). After the last
+    update every slot is brought below p at once (see _canonical).
     """
 
     def __init__(self) -> None:
@@ -237,15 +222,19 @@ class IncrementalBasis:
             [(x % PRIME).to_bytes(w, "big") if x else zero for x in vec]), "big")
 
     def _unpack(self, v: int) -> list[int]:
-        w = self._width
-        buf = v.to_bytes(w * self._ncols, "big")
-        return [int.from_bytes(buf[i:i + w], "big") for i in range(0, len(buf), w)]
+        """The coordinates of v, slots below p < 2^64: 8 strided slices gather
+        each slot's low 8 bytes, read at once as big-endian words."""
+        w, n = self._width, self._ncols
+        buf, low = v.to_bytes(w * n, "big"), bytearray(8 * n)
+        for k in range(8):
+            low[k::8] = buf[w - 8 + k::w]
+        return list(struct.unpack(f">{n}Q", low))
 
-    def _reduce(self, v: int) -> int:
-        """v against every row, in pivot order, with slots below p."""
+    def _reduce(self, v: int, start: int = 0) -> int:
+        """v against rows start, start + 1, ... in pivot order; slots below p."""
         last, bits = self._ncols - 1, self._bits
         slot = (1 << bits) - 1
-        for col, row in zip(self._pivots, self._rows):
+        for col, row in zip(self._pivots[start:], self._rows[start:]):
             f = ((v >> (last - col) * bits) & slot) % PRIME
             if f:
                 v += (PRIME - f) * row
@@ -267,3 +256,9 @@ class IncrementalBasis:
             v = (v & low) + h
         return v - (((v + ones) >> _BITS) & ones) * PRIME
 
+
+def _basis_of(vecs: Iterable[Sequence[int]]) -> IncrementalBasis:
+    basis = IncrementalBasis()
+    for vec in vecs:
+        basis.add(vec)
+    return basis

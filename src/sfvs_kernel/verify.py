@@ -77,6 +77,11 @@ def _check_one(rep: SweepReport, tag: str, pinst: PairInstance,
 
 def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
               k_max: int = 3) -> SweepReport:
+    for name, value, least in (("trials", trials, 0), ("n_max", n_max, 4),
+                               ("k_max", k_max, 0)):
+        if value < least:   # randint fails on an empty range; range() is silent
+            raise ValueError(f"{name} (--{name.replace('_', '-')}) must be "
+                             f"at least {least}, got {value}")
     rng = random.Random(seed)
     rep = SweepReport()
 

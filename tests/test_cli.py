@@ -155,6 +155,15 @@ def test_verify_small_sweep(capsys):
     assert "rule firings:" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--n-max", "2"),
+                                         ("--k-max", "-1")])
+def test_verify_rejects_a_bad_range(flag, value, capsys):
+    assert main(["verify", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "randrange" not in captured.err
+
+
 def test_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import matroid_wide
+from sfvs_kernel import gammoid
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
                                      dualize, inverse, wedge3_coordinates)
+from sfvs_kernel.skernel import kernelize_by_s
 
 
 def rand_matrix(rng, nrows, ncols, small=False):
@@ -291,6 +294,79 @@ def test_elimination_matches_full_row_reference(shape):
         probe = [rng.randrange(PRIME) for _ in range(m.ncols)]
         assert basis.reduce(probe) == ref.reduce(probe)
     assert (deficient == 150) == (shape == "deficient")
+
+
+# -- rref on packed rows against ref_rref at the callers' sizes ---------------
+
+
+def assert_rref_matches_ref(m):
+    want_rows, want_pivots = ref_rref(m.rows, m.ncols)
+    red, pivots = m.rref()
+    assert pivots == want_pivots
+    assert red.rows == want_rows
+    assert m.rank() == len(want_pivots)
+    if len(pivots) == m.nrows:
+        assert dualize(m).rows == ref_dual(m.rows, m.ncols)
+    return pivots
+
+
+def test_packed_rref_on_the_matroid_wide_transversal_matrix(monkeypatch):
+    """The matrix gammoid.represent hands to dualize for matroid_wide(90)."""
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return dualize(m)
+
+    monkeypatch.setattr(gammoid, "dualize", spy)
+    kernelize_by_s(matroid_wide(90).drop_pairs(), seed=0)
+    assert seen and all(m.nrows >= 40 and m.ncols > m.nrows for m in seen)
+    for m in seen:
+        assert len(assert_rref_matches_ref(m)) == m.nrows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_rref_sparse_with_dependent_rows(seed):
+    """About 5 nonzeros per row over 256 or more columns (bit_length(n) is 9
+    there, against 8 up to 255), dependent rows mixed in, so zero rows are
+    padded below."""
+    rng = random.Random(seed)
+    ncols = rng.randint(256, 300)
+    rows = []
+    for _ in range(50):
+        row = [0] * ncols
+        for j in rng.sample(range(ncols), 5):
+            row[j] = rng.randrange(1, PRIME)
+        rows.append(row)
+    for i in (7, 20, 33, 46):
+        rows.insert(i, combination(rng, rows[:i], ncols))
+    rows.insert(10, [0] * ncols)
+    m = FieldMatrix(rows, ncols)
+    assert len(assert_rref_matches_ref(m)) == 50
+
+
+@pytest.mark.parametrize("ncols", [16, 31])
+def test_packed_rref_back_substitution_takes_the_largest_updates(ncols):
+    """Upper-triangular rows with 1 on and above the diagonal, and the last
+    column chosen so the reduced rows are e_i - e_last. Back-substituting
+    row 0 meets f = 1 at each later pivot and adds (p - 1) * (p - 1) to the
+    last slot ncols - 2 times, the most that slot can get. At 16 and 31
+    columns the slot is exactly 2*61 + 6 = 128 bits, with no spare bit from
+    rounding up to whole bytes."""
+    last = ncols - 1
+    rows = [[0] * i + [1] * (last - i) + [-(last - i) % PRIME]
+            for i in range(last)]
+    m = FieldMatrix(rows, ncols)
+    red, pivots = m.rref()
+    assert pivots == list(range(last))
+    assert red.rows == [[int(j == i) for j in range(last)] + [PRIME - 1]
+                        for i in range(last)]
+    assert_rref_matches_ref(m)
+    # 1 on the diagonal and p - 1 above it reduces to the identity
+    square = FieldMatrix([[0] * i + [1] + [PRIME - 1] * (last - i)
+                          for i in range(ncols)], ncols)
+    assert square.rref()[0].rows == FieldMatrix.identity(ncols).rows
+    assert_rref_matches_ref(square)
 
 
 # -- the packed basis against RefBasis at the callers' sizes ------------------
