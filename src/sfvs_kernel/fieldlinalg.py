@@ -65,10 +65,6 @@ class FieldMatrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.rows]
 
-    def columns(self, js: Iterable[int]) -> "FieldMatrix":
-        js = list(js)
-        return FieldMatrix([[row[j] for j in js] for row in self.rows], len(js))
-
     def rref(self) -> tuple["FieldMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns: the rows go into an
         IncrementalBasis, then each row, bottom-up, is reduced against the
@@ -108,52 +104,43 @@ def dualize(m: FieldMatrix) -> FieldMatrix:
     return out
 
 
-def wedge3_coordinates(a: Sequence[int], b: Sequence[int], c: Sequence[int],
-                       d1: int, d2: int) -> list[int]:
-    """Coordinates of a ^ b ^ c when a, b live on the first d1 rows and c on the last d2.
+def wedge3_coordinates(a: Sequence[int], b: Sequence[int],
+                       c: Sequence[int]) -> list[int]:
+    """Coordinates of a ^ b ^ c in the direct sum of two spaces: a and b of
+    length d1 in the first, c of length d2 in the second.
 
-    Index order: pairs {i < j} of first-block rows lexicographically, unit l of
-    the second block innermost. Output length is C(d1, 2) * d2.
+    Index order: pairs {i < j} of first-space coordinates lexicographically,
+    coordinate l of c innermost. Output length is C(d1, 2) * d2.
     """
-    _check_wedge_blocks(a, b, c, d1, d2)
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same length")
     out = []
-    for i in range(d1):
+    for i in range(len(a)):
         ai = a[i] % PRIME
         bi = b[i] % PRIME
-        for j in range(i + 1, d1):
+        for j in range(i + 1, len(a)):
             minor = (ai * b[j] - a[j] * bi) % PRIME
-            for l in range(d2):
-                out.append(minor * c[d1 + l] % PRIME)
+            out += [minor * x % PRIME for x in c]
     return out
 
 
-def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int],
-                   d1: int, d2: int) -> bool:
-    """Whether a ^ b ^ c is nonzero, with the block layout of
-    wedge3_coordinates, in O(d1 + d2) and without its coordinates.
+def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
+    """Whether a ^ b ^ c is nonzero, with the layout of wedge3_coordinates,
+    in O(d1 + d2) and without its coordinates.
 
-    The wedge vanishes exactly when c is zero or a and b are parallel on the
-    first block. With a[i] the first nonzero entry of a, b is parallel to a
-    iff every 2x2 minor a[i] b[j] - a[j] b[i] is zero.
+    The wedge vanishes exactly when c is zero or a and b are parallel. With
+    a[i] the first nonzero entry of a, b is parallel to a iff every 2x2 minor
+    a[i] b[j] - a[j] b[i] is zero.
     """
-    _check_wedge_blocks(a, b, c, d1, d2)
-    if not any(x % PRIME for x in c[d1:]):
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same length")
+    if not any(x % PRIME for x in c):
         return False
-    i = next((i for i in range(d1) if a[i] % PRIME), None)
+    i = next((i for i, x in enumerate(a) if x % PRIME), None)
     if i is None:
         return False
     ai, bi = a[i], b[i]
-    return any((ai * b[j] - a[j] * bi) % PRIME for j in range(d1))
-
-
-def _check_wedge_blocks(a: Sequence[int], b: Sequence[int], c: Sequence[int],
-                        d1: int, d2: int) -> None:
-    if len(a) != d1 + d2 or len(b) != d1 + d2 or len(c) != d1 + d2:
-        raise ValueError("vector length must be d1 + d2")
-    if any(x % PRIME for x in a[d1:]) or any(x % PRIME for x in b[d1:]):
-        raise ValueError("a and b must vanish on the second block")
-    if any(x % PRIME for x in c[:d1]):
-        raise ValueError("c must vanish on the first block")
+    return any((ai * bj - aj * bi) % PRIME for aj, bj in zip(a, b))
 
 
 class IncrementalBasis:

@@ -1,4 +1,4 @@
-"""Linear representations of gammoids and the block matroids built from them.
+"""Linear representations of gammoids, and the matroids built from their columns.
 
 A set is independent in the gammoid of a digraph with fixed sources iff it can
 be linked to the sources by fully vertex-disjoint paths (a source reaches
@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .fieldlinalg import PRIME, FieldMatrix, dualize
+from .fieldlinalg import PRIME, FieldMatrix, IncrementalBasis, dualize
 from .multigraph import Multigraph
 
 
@@ -140,26 +140,16 @@ def linked(d: Digraph, sources: Iterable[Hashable], t: Iterable[Hashable]) -> bo
 
 @dataclass
 class MatroidRep:
-    """Columns over F_p indexed by ground-set labels."""
-    mat: FieldMatrix
-    ground: tuple[Hashable, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ground) != self.mat.ncols:
-            raise ValueError("one column per ground element")
-        self.col_of = {g: i for i, g in enumerate(self.ground)}
-        if len(self.col_of) != len(self.ground):
-            raise ValueError("duplicate ground labels")
-
-    @property
-    def rank(self) -> int:
-        return self.mat.rank()
+    """A linear matroid over F_p: one column per ground-set label, in the
+    order the labels were added."""
+    columns: dict[Hashable, list[int]]
 
     def column(self, label: Hashable) -> list[int]:
-        return self.mat.column(self.col_of[label])
+        return self.columns[label]
 
     def rank_of(self, labels: Iterable[Hashable]) -> int:
-        return self.mat.rank_of_columns(self.col_of[x] for x in labels)
+        basis = IncrementalBasis()
+        return sum(basis.add(self.columns[x]) for x in labels)
 
     def is_independent(self, labels: Sequence[Hashable]) -> bool:
         labels = list(labels)
@@ -189,8 +179,7 @@ def represent(d: Digraph, sources: Iterable[Hashable],
             dual = dualize(mat)
         except ValueError:      # not of full row rank: draw again
             continue
-        return MatroidRep(dual.columns([d.index[g] for g in ground]),
-                          tuple(ground))
+        return MatroidRep({g: dual.column(d.index[g]) for g in ground})
     raise AssertionError("transversal matrix failed to reach full row rank")
 
 
@@ -218,36 +207,27 @@ def add_sink_copies(rep: MatroidRep, d: Digraph,
     by N(v), a principal extension, and a random combination of N(v)'s
     columns represents it with probability 1 - O(n/p). The original columns
     are kept as they are, so the elimination behind rep stays on |V(d)|
-    columns.
+    columns. Coefficients are drawn vertex by vertex in d's order, ("c1", v)
+    before ("c2", v), in-neighbours in d's order.
     """
-    preds: dict[Hashable, list[int]] = {v: [] for v in d.vertices}
-    for u, w in d.arcs:
-        preds[w].append(rep.col_of[u])
-    combos = []
-    ground = list(rep.ground)
-    for v in d.vertices:
-        js = sorted(preds[v])
+    cols = [rep.columns[v] for v in d.vertices]
+    preds: list[list[int]] = [[] for _ in d.vertices]
+    for u, ws in enumerate(d.succ):
+        for w in ws:
+            preds[w].append(u)
+    zero = [0] * (len(cols[0]) if cols else 0)
+    out = dict(rep.columns)
+    for v, us in zip(d.vertices, preds):
         for tag in ("c1", "c2"):
-            combos.append([(j, rng.randrange(1, PRIME)) for j in js])
-            ground.append((tag, v))
-    rows = [row + [sum(row[j] * x for j, x in combo) % PRIME for combo in combos]
-            for row in rep.mat.rows]
-    return MatroidRep(FieldMatrix(rows, len(ground)), tuple(ground))
-
-
-def direct_sum(a: MatroidRep, b: MatroidRep) -> MatroidRep:
-    """Block-diagonal sum; grounds must be disjoint."""
-    if set(a.ground) & set(b.ground):
-        raise ValueError("grounds overlap")
-    ra, rb = a.mat.nrows, b.mat.nrows
-    ca, cb = a.mat.ncols, b.mat.ncols
-    rows = [list(r) + [0] * cb for r in a.mat.rows]
-    rows += [[0] * ca + list(r) for r in b.mat.rows]
-    return MatroidRep(FieldMatrix(rows, ca + cb), a.ground + b.ground)
+            acc = zero
+            for u in us:
+                x = rng.randrange(1, PRIME)
+                acc = [a + x * c for a, c in zip(acc, cols[u])]
+            out[(tag, v)] = [a % PRIME for a in acc]
+    return MatroidRep(out)
 
 
 def uniform_rep(ground: Sequence[Hashable], k: int) -> MatroidRep:
-    """Uniform matroid of rank k as a Vandermonde matrix; deterministic."""
-    n = len(ground)
-    rows = [[pow(j + 1, i, PRIME) for j in range(n)] for i in range(k)]
-    return MatroidRep(FieldMatrix(rows, n), tuple(ground))
+    """Uniform matroid of rank k as Vandermonde columns; deterministic."""
+    return MatroidRep({g: [pow(j + 1, i, PRIME) for i in range(k)]
+                       for j, g in enumerate(ground)})

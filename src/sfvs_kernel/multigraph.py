@@ -11,10 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
 
-# A solution candidate is just the set of deleted vertices.
-Solution = frozenset[int]
-
-
 class Multigraph:
     """Undirected multigraph. Edges are identified by id, not by endpoints."""
 

@@ -64,6 +64,8 @@ def solve_exact(inst: Instance | PairInstance, max_k: Optional[int] = None,
                 avoid: Iterable[int] = (), n_cap: Optional[int] = None) -> SolveResult:
     """Branch on a shortest violated cycle / unhit pair, budget-iterated so the
     returned witness has minimum size. Capped to keep runtimes honest."""
+    if max_k is not None and max_k < 0:     # min(k, max_k) would try no budget
+        raise ValueError(f"max_k (--max-k) must be at least 0, got {max_k}")
     pinst = inst.with_pairs() if isinstance(inst, Instance) else inst
     pinst.validate()
     k = pinst.k if max_k is None else min(pinst.k, max_k)

@@ -1,11 +1,14 @@
-"""Representative triples over a block matroid via exterior-algebra filtering.
+"""Representative triples in a direct sum of two matroids via
+exterior-algebra filtering.
 
-Each triple maps to the wedge of its three columns (two from the first block,
-one from the second), a vector of C(d1,2)*d2 coordinates. A triple whose
-wedge lies in the span of the wedges kept so far can be dropped: any
-independent extension of the dropped triple is also an independent extension
-of some kept one. The filter is a single streaming pass, so the kept family
-never exceeds the wedge space dimension.
+The direct sum is only the math here: each triple is given as its own three
+vectors, two of length d1 from the first summand and one of length d2 from
+the second. A triple maps to the wedge of those vectors, a vector of
+C(d1,2)*d2 coordinates. A triple whose wedge lies in the span of the wedges
+kept so far can be dropped: any independent extension of the dropped triple
+is also an independent extension of some kept one. The filter is a single
+streaming pass, so the kept family never exceeds the wedge space dimension,
+and the pass stops as soon as the kept wedges span that space.
 
 Before that pass runs, a certificate is tried. Triples with a zero wedge are
 found by 2x2 minors alone. The m nonzero wedges are mapped through m random
@@ -22,44 +25,42 @@ from __future__ import annotations
 
 import random
 from math import comb
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .fieldlinalg import (PRIME, IncrementalBasis, wedge3_coordinates,
                           wedge3_nonzero)
-from .gammoid import MatroidRep
 
-Columns = tuple[list[int], list[int], list[int]]
+Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 # Any fixed value: the kept family does not depend on the draws.
 _SKETCH_SEED = 8
 
 
-def representative_triples(rep: MatroidRep, d1: int, d2: int,
+def representative_triples(columns: Mapping[Hashable, Sequence[int]],
+                           d1: int, d2: int,
                            triples: Sequence[tuple[Hashable, Hashable, Hashable]],
                            ) -> list[tuple[Hashable, Hashable, Hashable]]:
     """Keep a max-rank subfamily of wedge vectors, in input order.
 
-    `rep` must be a direct sum whose first block spans rows 0..d1-1 and second
-    block rows d1..d1+d2-1; each triple is (first-block, first-block,
-    second-block) column labels. Triples with a zero or dependent wedge are
-    dropped.
+    `columns` maps each label to its vector: the first two labels of a triple
+    must name vectors of length d1 and the third a vector of length d2.
+    Triples with a zero or dependent wedge are dropped.
     """
-    if rep.mat.nrows != d1 + d2:
-        raise ValueError("row count must match the two block dimensions")
+    cols = [(columns[a], columns[b], columns[c]) for a, b, c in triples]
+    if any((len(a), len(b), len(c)) != (d1, d1, d2) for a, b, c in cols):
+        raise ValueError("a triple's vectors must have lengths d1, d1 and d2")
     dim = comb(d1, 2) * d2
-    cols = [(rep.column(a), rep.column(b), rep.column(c)) for a, b, c in triples]
-    live = [i for i, (ca, cb, cc) in enumerate(cols)
-            if wedge3_nonzero(ca, cb, cc, d1, d2)]
+    live = [i for i, (a, b, c) in enumerate(cols) if wedge3_nonzero(a, b, c)]
     live_cols = [cols[i] for i in live]
-    if not (len(live) <= dim and _independent(live_cols, d1)):
-        live = [live[j] for j in _eliminate(live_cols, d1, d2)]
+    if not (len(live) <= dim and _independent(live_cols)):
+        live = [live[j] for j in _eliminate(live_cols, dim)]
     kept = [triples[i] for i in live]
     if len(kept) > dim:
         raise AssertionError("kept wedges exceed the wedge space dimension")
     return kept
 
 
-def _independent(cols: list[Columns], d1: int) -> bool:
+def _independent(cols: list[Columns]) -> bool:
     """True if the wedges of cols are certainly linearly independent: their
     images under len(cols) random decomposable functionals are. False means
     the image was singular, which independent wedges give only by chance."""
@@ -67,12 +68,11 @@ def _independent(cols: list[Columns], d1: int) -> bool:
     if not m:
         return True
     rng = random.Random(_SKETCH_SEED)
-    d2 = len(cols[0][2]) - d1
-    xy_of = _random_projector(rng, d1, 2 * m)   # x_1..x_m, then y_1..y_m
-    z_of = _random_projector(rng, d2, m)
+    xy_of = _random_projector(rng, len(cols[0][0]), 2 * m)  # x_1..x_m, y_1..y_m
+    z_of = _random_projector(rng, len(cols[0][2]), m)
     basis = IncrementalBasis()
     for a, b, c in cols:
-        pa, pb, zc = xy_of(a[:d1]), xy_of(b[:d1]), z_of(c[d1:])
+        pa, pb, zc = xy_of(a), xy_of(b), z_of(c)
         image = [(xa * yb - xb * ya) % PRIME * zci
                  for xa, xb, ya, yb, zci in zip(pa, pb, pa[m:], pb[m:], zc)]
         if not basis.add(image):
@@ -105,9 +105,10 @@ def _random_projector(rng: random.Random, dim: int, count: int
     return project
 
 
-def _eliminate(cols: list[Columns], d1: int, d2: int) -> list[int]:
+def _eliminate(cols: list[Columns], dim: int) -> list[int]:
     """The streaming filter: indices of the cols whose wedge is independent
-    of the wedges kept before it."""
+    of the wedges kept before it. Once `dim` wedges are kept they span the
+    wedge space, so every later one is dependent and none is written out."""
     basis = IncrementalBasis()
     return [i for i, (a, b, c) in enumerate(cols)
-            if basis.add(wedge3_coordinates(a, b, c, d1, d2))]
+            if len(basis) < dim and basis.add(wedge3_coordinates(a, b, c))]

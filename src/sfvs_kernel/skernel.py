@@ -12,11 +12,13 @@ vertex, so every T-vertex keeps degree two and a plain neighbour outside T.
 Then remove the S-edges from the core, bidirect what is left, and take the
 gammoid with sources T on the original vertices, extended by two sink copies
 per vertex (columns drawn from the span of its neighbours, see
-gammoid.add_sink_copies) and summed with a rank-k uniform matroid.
-A vertex v matters for some solution only if {v', v'', v-hat} extends to an
-independent set, so a representative family of those triples pins down a set
-W with all of T such that the torso of the core onto W is an equivalent
-instance.
+gammoid.add_sink_copies), and a rank-k uniform matroid with one column
+v-hat per vertex. A vertex v matters for some solution only if
+{v', v'', v-hat} extends to an independent set of the direct sum of the two,
+so a representative family of those triples pins down a set W with all of T
+such that the torso of the core onto W is an equivalent instance. The direct
+sum is never built: the filter gets each triple's gammoid columns and its
+uniform column as they are (see repsets).
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
 a random matrix misrepresents the gammoid. The representative-set filter adds
 no failure probability: its random sketch decides only how fast it runs, not
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Optional
 
-from .gammoid import (add_sink_copies, bidirected, direct_sum, represent,
-                      uniform_rep)
+from .gammoid import add_sink_copies, bidirected, represent, uniform_rep
 from .multigraph import Instance, Multigraph, torso
 from .repsets import representative_triples
 
@@ -137,10 +138,9 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
     if m1.rank_of(t) != len(t):
         raise AssertionError("sources always link to themselves")
     m2 = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
-    m = direct_sum(m1, m2)
 
     triples = [(("c1", v), ("c2", v), ("hat", v)) for v in sorted(g.vertices())]
-    kept = representative_triples(m, len(t), k, triples)
+    kept = representative_triples(m1.columns | m2.columns, len(t), k, triples)
 
     w = frozenset(t) | frozenset(lab[1] for _, _, lab in kept)
     out = torso(g, w)

@@ -122,9 +122,12 @@ def as_pair_free(inst: Instance) -> PairInstance:
 
 
 def random_block_matroid(rng, d1_hi=5, d2_hi=2, ground_hi=10):
-    """Direct sum of two full-row-rank random blocks plus candidate triples."""
+    """Two full-row-rank random blocks plus candidate triples.
+
+    Returns label -> column with the first block's labels ("g", i), of
+    length d1, and the second's ("h", j), of length d2; then d1, d2 and the
+    triples."""
     from sfvs_kernel.fieldlinalg import PRIME, FieldMatrix
-    from sfvs_kernel.gammoid import MatroidRep, direct_sum
 
     def full_rank(d, n):
         while True:
@@ -141,21 +144,33 @@ def random_block_matroid(rng, d1_hi=5, d2_hi=2, ground_hi=10):
             break
     g1 = tuple(("g", i) for i in range(n1))
     g2 = tuple(("h", j) for j in range(n2))
-    m = direct_sum(MatroidRep(full_rank(d1, n1), g1),
-                   MatroidRep(full_rank(d2, n2), g2))
+    m1, m2 = full_rank(d1, n1), full_rank(d2, n2)
+    columns = {lab: m1.column(i) for i, lab in enumerate(g1)}
+    columns |= {lab: m2.column(j) for j, lab in enumerate(g2)}
     pairs = list(itertools.combinations(g1, 2))
     triples = [(a, b, c) for (a, b) in pairs for c in g2]
     rng.shuffle(triples)
     triples = triples[:rng.randint(1, min(8, len(triples)))]
-    return m, d1, d2, triples
+    return columns, d1, d2, triples
 
 
-def check_representative(m, d1, d2, triples, kept):
-    """Exhaustively confirm kept is (d1+d2-3)-representative for triples.
+def direct_sum(columns, d1, d2):
+    """The two blocks of random_block_matroid as one matroid: first-block
+    columns padded with d2 zeros below, second-block ones with d1 above."""
+    from sfvs_kernel.gammoid import MatroidRep
+
+    return MatroidRep({lab: col + [0] * d2 if lab[0] == "g" else [0] * d1 + col
+                       for lab, col in columns.items()})
+
+
+def check_representative(columns, d1, d2, triples, kept):
+    """Exhaustively confirm kept is (d1+d2-3)-representative for triples in
+    the direct sum of the two blocks.
 
     Returns the number of (B, triple) demands checked."""
+    m = direct_sum(columns, d1, d2)
     q = d1 + d2 - 3
-    ground = m.ground
+    ground = tuple(m.columns)
     checked = 0
     for size in range(0, max(q, -1) + 1):
         for b in itertools.combinations(ground, size):

@@ -70,6 +70,21 @@ def test_solve_no_instance(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+def test_solve_rejects_a_negative_max_k(tmp_path, capsys):
+    # the empty instance is a yes-instance; a budget cap of -1 tried no budget
+    # and answered "no"
+    path = tmp_path / "empty.sfvs"
+    assert main(["gen", "--n", "0", "--m", "0", "--s", "0", "--k", "0",
+                 "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
+    assert main(["solve", str(path), "--max-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-k" in captured.err
+
+
 def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
     _, p = gen_file(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(p)))

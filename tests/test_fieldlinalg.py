@@ -100,9 +100,9 @@ def test_dualize_requires_full_row_rank():
 
 
 def block_vectors(rng, d1, d2):
-    a = [rng.randrange(PRIME) for _ in range(d1)] + [0] * d2
-    b = [rng.randrange(PRIME) for _ in range(d1)] + [0] * d2
-    c = [0] * d1 + [rng.randrange(PRIME) for _ in range(d2)]
+    a = [rng.randrange(PRIME) for _ in range(d1)]
+    b = [rng.randrange(PRIME) for _ in range(d1)]
+    c = [rng.randrange(PRIME) for _ in range(d2)]
     return a, b, c
 
 
@@ -112,12 +112,12 @@ def test_wedge_shape_and_alternation(seed):
     rng = random.Random(seed)
     d1, d2 = rng.randint(2, 5), rng.randint(1, 3)
     a, b, c = block_vectors(rng, d1, d2)
-    w = wedge3_coordinates(a, b, c, d1, d2)
+    w = wedge3_coordinates(a, b, c)
     assert len(w) == comb(d1, 2) * d2
-    swapped = wedge3_coordinates(b, a, c, d1, d2)
+    swapped = wedge3_coordinates(b, a, c)
     assert [(x + y) % PRIME for x, y in zip(w, swapped)] == [0] * len(w)
     # a ^ a ^ c vanishes
-    assert wedge3_coordinates(a, a, c, d1, d2) == [0] * len(w)
+    assert wedge3_coordinates(a, a, c) == [0] * len(w)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -128,19 +128,20 @@ def test_wedge_linear_in_each_slot(seed):
     a, b, c = block_vectors(rng, d1, d2)
     _, _, c2 = block_vectors(rng, d1, d2)
     lam = rng.randrange(1, PRIME)
-    lhs = wedge3_coordinates(a, b, [(x + lam * y) % PRIME for x, y in zip(c, c2)], d1, d2)
-    w1 = wedge3_coordinates(a, b, c, d1, d2)
-    w2 = wedge3_coordinates(a, b, c2, d1, d2)
+    lhs = wedge3_coordinates(a, b, [(x + lam * y) % PRIME for x, y in zip(c, c2)])
+    w1 = wedge3_coordinates(a, b, c)
+    w2 = wedge3_coordinates(a, b, c2)
     assert lhs == [(x + lam * y) % PRIME for x, y in zip(w1, w2)]
 
 
 def test_wedge_rejects_misplaced_support():
+    # a and b live in the same space, so their lengths must agree
     with pytest.raises(ValueError):
-        wedge3_coordinates([1, 0, 1], [1, 0, 0], [0, 0, 1], 2, 1)
+        wedge3_coordinates([1, 0, 1], [1, 0], [1])
     with pytest.raises(ValueError):
-        wedge3_coordinates([1, 0, 0], [1, 0, 0], [1, 0, 1], 2, 1)
+        wedge3_coordinates([1], [1, 0], [1, 0, 1])
     with pytest.raises(ValueError):
-        wedge3_coordinates([1, 0], [1, 0, 0], [0, 0, 1], 2, 1)
+        wedge3_coordinates([1, 0], [1, 0, 0], [0, 0, 1])
 
 
 def test_wedge_matches_rank_semantics():
@@ -152,8 +153,10 @@ def test_wedge_matches_rank_semantics():
         if rng.random() < 0.3:
             lam = rng.randrange(PRIME)
             b = [lam * x % PRIME for x in a]  # force dependence
-        m = FieldMatrix([list(col) for col in zip(a, b, c)], 3)
-        w = wedge3_coordinates(a, b, c, d1, d2)
+        # the three columns in the direct sum of the two spaces
+        m = FieldMatrix([list(col) for col in zip(a + [0] * d2, b + [0] * d2,
+                                                  [0] * d1 + c)], 3)
+        w = wedge3_coordinates(a, b, c)
         assert (m.rank() == 3) == any(w)
 
 

@@ -1,4 +1,5 @@
-"""Gammoid representations against the flow oracle, plus block matroid helpers."""
+"""Gammoid representations against the flow oracle, plus sink copies and the
+uniform matroid."""
 import itertools
 import random
 
@@ -7,10 +8,9 @@ import pytest
 from networkx.algorithms.connectivity import local_node_connectivity
 
 from helpers import random_multigraph
-from sfvs_kernel.gammoid import (Digraph, MatroidRep, add_sink_copies,
-                                 bidirected, direct_sum, disjoint_paths,
-                                 linked, represent, uniform_rep)
-from sfvs_kernel.fieldlinalg import FieldMatrix
+from sfvs_kernel.gammoid import (Digraph, add_sink_copies, bidirected,
+                                 disjoint_paths, linked, represent, uniform_rep)
+from sfvs_kernel.fieldlinalg import PRIME
 from sfvs_kernel.multigraph import Multigraph
 
 
@@ -88,7 +88,8 @@ def test_rank_agrees_with_linkage():
         sources = rng.sample(vs, rng.randint(0, min(3, len(vs))))
         rep = represent(d, sources, vs, rng)
         # the dual construction has one row per source
-        assert rep.mat.nrows == len(set(sources))
+        assert all(len(col) == len(set(sources))
+                   for col in rep.columns.values())
         for size in range(0, 4):
             for t in itertools.combinations(vs, size):
                 want = linked(d, sources, t)
@@ -145,10 +146,10 @@ def test_sink_copy_columns_structure():
     rng = random.Random(0)
     base = represent(d2, [1, 2], d2.vertices, rng)
     rep = add_sink_copies(base, d2, rng)
-    assert rep.ground == (1, 2, 3, ("c1", 1), ("c2", 1), ("c1", 2),
-                          ("c2", 2), ("c1", 3), ("c2", 3))
+    assert tuple(rep.columns) == (1, 2, 3, ("c1", 1), ("c2", 1), ("c1", 2),
+                                  ("c2", 2), ("c1", 3), ("c2", 3))
     # the gammoid's own columns are kept as they are
-    assert rep.mat.nrows == 2
+    assert all(len(col) == 2 for col in rep.columns.values())
     for v in (1, 2, 3):
         assert rep.column(v) == base.column(v)
     # 1 has no in-arcs left, so nothing can end at its copies
@@ -189,7 +190,7 @@ def test_sink_copy_columns_agree_with_flow_oracle():
         as_vertex = {v: ("v", v) for v in vs}
         src = [as_vertex[v] for v in sources]
         for size in range(4):
-            for x in itertools.combinations(rep.ground, size):
+            for x in itertools.combinations(rep.columns, size):
                 t = [as_vertex.get(lab, lab) for lab in x]
                 assert rep.is_independent(x) == linked(d, src, t), \
                     (trial, sources, x)
@@ -197,27 +198,61 @@ def test_sink_copy_columns_agree_with_flow_oracle():
     assert compared > 10000, compared
 
 
-def test_direct_sum_ranks_add():
-    a = MatroidRep(FieldMatrix([[1, 0, 1], [0, 1, 1]]), ("a0", "a1", "a2"))
-    b = uniform_rep(("b0", "b1"), 1)
-    m = direct_sum(a, b)
-    assert m.rank == a.rank + b.rank
-    assert m.ground == ("a0", "a1", "a2", "b0", "b1")
-    assert m.rank_of(["a0", "a1", "b0"]) == 3
-    assert m.rank_of(["b0", "b1"]) == 1
+def row_wise_sink_copies(rep, d, rng):
+    """add_sink_copies on the matrix's rows, as it was first written: each
+    row gains one entry per copy, a combination of that row's entries at the
+    in-neighbours. A reference for the column-wise one's draw order and
+    values; returns label -> column."""
+    ground = list(rep.columns)
+    col_of = {g: j for j, g in enumerate(ground)}
+    rows = [list(r) for r in zip(*rep.columns.values())]
+    preds = {v: [] for v in d.vertices}
+    for u, w in d.arcs:
+        preds[w].append(col_of[u])
+    combos = []
+    for v in d.vertices:
+        js = sorted(preds[v])
+        for tag in ("c1", "c2"):
+            combos.append([(j, rng.randrange(1, PRIME)) for j in js])
+            ground.append((tag, v))
+    rows = [row + [sum(row[j] * x for j, x in combo) % PRIME
+                   for combo in combos] for row in rows]
+    return {lab: [row[j] for row in rows] for j, lab in enumerate(ground)}
 
 
-def test_direct_sum_rejects_overlap():
-    a = uniform_rep(("x",), 1)
-    with pytest.raises(ValueError):
-        direct_sum(a, a)
+def test_sink_copy_columns_match_the_row_wise_construction():
+    """Same columns, same labels in the same order, and the same draws, so
+    the output of the matroid stage cannot move with the layout."""
+    rng = random.Random(41)
+    seen = {"loop": 0, "isolated": 0}
+    for _ in range(80):
+        g, eids = random_multigraph(rng, n_lo=1, n_hi=12)
+        g.add_vertex(g.n + 1)
+        skip = rng.sample(eids, rng.randint(0, min(3, len(eids))))
+        d = bidirected(g, skip)
+        seen["loop"] += any(u == w for u, w in d.arcs)
+        seen["isolated"] += any(not ws for ws in d.succ)
+        vs = list(d.vertices)
+        sources = rng.sample(vs, rng.randint(1, min(4, len(vs))))
+        base = represent(d, sources, d.vertices, rng)
+        before = {lab: list(col) for lab, col in base.columns.items()}
+        state = rng.getstate()
+        want = row_wise_sink_copies(base, d, rng)
+        drawn = rng.getstate()
+        rng.setstate(state)
+        got = add_sink_copies(base, d, rng)
+        assert rng.getstate() == drawn
+        assert list(got.columns) == list(want)
+        assert got.columns == want
+        assert base.columns == before
+    assert seen["loop"] > 10 and seen["isolated"] == 80
 
 
 def test_uniform_rep_rank_profile():
     m = uniform_rep(tuple(f"e{i}" for i in range(5)), 2)
-    assert m.rank == 2
-    for pair in itertools.combinations(m.ground, 2):
+    assert m.rank_of(m.columns) == 2
+    for pair in itertools.combinations(m.columns, 2):
         assert m.rank_of(pair) == 2
-    for triple in itertools.combinations(m.ground, 3):
+    for triple in itertools.combinations(m.columns, 3):
         assert m.rank_of(triple) == 2
     assert m.rank_of(["e0"]) == 1

@@ -8,9 +8,9 @@ import pytest
 from helpers import check_representative, matroid_wide, random_block_matroid
 from sfvs_kernel import repsets
 from sfvs_kernel.cli import main
-from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
+from sfvs_kernel.fieldlinalg import (PRIME, IncrementalBasis,
                                      wedge3_coordinates, wedge3_nonzero)
-from sfvs_kernel.gammoid import MatroidRep, direct_sum, uniform_rep
+from sfvs_kernel.gammoid import uniform_rep
 from sfvs_kernel.instancefile import write_instance
 from sfvs_kernel.multigraph import Instance, Multigraph
 from sfvs_kernel.repsets import representative_triples
@@ -35,17 +35,17 @@ def test_kept_family_is_representative():
 
 def test_dependent_triples_are_dropped():
     # rank-1 first block: no pair of its columns is independent
-    a = MatroidRep(FieldMatrix([[1, 2, 3]]), ("x0", "x1", "x2"))
+    a = {"x0": [1], "x1": [2], "x2": [3]}
     b = uniform_rep(("y0",), 1)
-    m = direct_sum(a, b)
+    m = a | b.columns
     kept = representative_triples(m, 1, 1, [("x0", "x1", "y0")])
     assert kept == []
 
 
 def test_duplicate_wedges_keep_first():
-    a = MatroidRep(FieldMatrix([[1, 0, 1], [0, 1, 1]]), ("x0", "x1", "x2"))
+    a = {"x0": [1, 0], "x1": [0, 1], "x2": [1, 1]}
     b = uniform_rep(("y0",), 1)
-    m = direct_sum(a, b)
+    m = a | b.columns
     t1 = ("x0", "x1", "y0")
     t2 = ("x1", "x0", "y0")  # same wedge up to sign
     kept = representative_triples(m, 2, 1, [t1, t2])
@@ -53,24 +53,24 @@ def test_duplicate_wedges_keep_first():
 
 
 def test_row_count_mismatch_rejected():
+    # every vector has length 2, so c is one too long for d2 = 1
     m = uniform_rep(("a", "b", "c"), 2)
     with pytest.raises(ValueError):
-        representative_triples(m, 2, 1, [])
+        representative_triples(m.columns, 2, 1, [("a", "b", "c")])
 
 
 # -- the certificate against the exact streaming filter ------------------------
 
 
-def exact_filter(rep, d1, d2, triples):
+def exact_filter(columns, d1, d2, triples):
     """The streaming filter with no certificate: every wedge written out and
     reduced against the basis of the wedges kept before it."""
-    if rep.mat.nrows != d1 + d2:
-        raise ValueError("row count must match the two block dimensions")
     basis = IncrementalBasis()
     kept = []
     for a, b, c in triples:
-        vec = wedge3_coordinates(rep.column(a), rep.column(b), rep.column(c),
-                                 d1, d2)
+        if [len(columns[x]) for x in (a, b, c)] != [d1, d1, d2]:
+            raise ValueError("vector lengths must match the two block dimensions")
+        vec = wedge3_coordinates(columns[a], columns[b], columns[c])
         if any(vec) and basis.add(vec):
             kept.append((a, b, c))
     return kept
@@ -99,10 +99,10 @@ def paths(monkeypatch):
 
 
 def block_rep(first, second, first_labels, second_labels):
-    """Direct sum of two explicit blocks, given as lists of rows."""
-    return direct_sum(
-        MatroidRep(FieldMatrix(first, len(first_labels)), tuple(first_labels)),
-        MatroidRep(FieldMatrix(second, len(second_labels)), tuple(second_labels)))
+    """The columns of two explicit blocks, given as lists of rows."""
+    return {lab: list(col) for labels, rows in ((first_labels, first),
+                                                (second_labels, second))
+            for lab, col in zip(labels, zip(*rows))}
 
 
 def test_certificate_matches_exact_filter_on_random_block_matroids(paths):
@@ -146,6 +146,28 @@ def test_more_nonzero_wedges_than_dimension_skip_the_sketch(paths):
     assert paths == Counter(exact=1)
 
 
+def test_exact_filter_stops_once_the_basis_is_full(paths, monkeypatch):
+    # d1 = 3, d2 = 1: the wedge space has dimension 3, and the fourth triple
+    # fills it; x3 = x0 + x1 + x2, so each later wedge is nonzero
+    rep = block_rep([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [[1]],
+                    ("x0", "x1", "x2", "x3"), ("y0",))
+    triples = [("x0", "x1", "y0"), ("x1", "x0", "y0"), ("x0", "x2", "y0"),
+               ("x1", "x2", "y0"), ("x0", "x3", "y0"), ("x1", "x3", "y0"),
+               ("x2", "x3", "y0")]
+    want = exact_filter(rep, 3, 1, triples)
+    assert want == [triples[0], triples[2], triples[3]]
+    written = []
+
+    def counted(a, b, c):
+        written.append((a, b, c))
+        return wedge3_coordinates(a, b, c)
+
+    monkeypatch.setattr(repsets, "wedge3_coordinates", counted)
+    assert representative_triples(rep, 3, 1, triples) == want
+    assert written == [(rep[a], rep[b], rep[c]) for a, b, c in triples[:4]]
+    assert paths == Counter(exact=1)
+
+
 def test_each_kind_of_zero_wedge_is_dropped(paths):
     # z0 is a zero column of the first block, x2 = 2*x0, y1 a zero column
     rep = block_rep([[1, 0, 2, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 1, 0]],
@@ -158,8 +180,7 @@ def test_each_kind_of_zero_wedge_is_dropped(paths):
     live = [("x0", "x1", "y0"), ("x1", "x3", "y2"), ("x0", "x3", "y0")]
     triples = [zero[0], live[0], zero[1], zero[2], live[1], zero[3], live[2]]
     for a, b, c in zero:
-        assert not wedge3_nonzero(rep.column(a), rep.column(b), rep.column(c),
-                                  3, 1)
+        assert not wedge3_nonzero(rep[a], rep[b], rep[c])
     assert representative_triples(rep, 3, 1, triples) == live
     assert exact_filter(rep, 3, 1, triples) == live
     assert paths == Counter(certified=1)
@@ -171,13 +192,11 @@ def test_zero_wedge_predicate_matches_coordinates():
     for _ in range(400):
         d1, d2 = rng.randint(0, 5), rng.randint(0, 3)
 
-        def block(lo, hi):
-            vec = [0] * (d1 + d2)
-            for i in range(lo, hi):
-                vec[i] = rng.choice((0, 1, PRIME - 1, rng.randrange(PRIME)))
-            return vec
+        def block(n):
+            return [rng.choice((0, 1, PRIME - 1, rng.randrange(PRIME)))
+                    for _ in range(n)]
 
-        a, b, c = block(0, d1), block(0, d1), block(d1, d1 + d2)
+        a, b, c = block(d1), block(d1), block(d2)
         kind = rng.randrange(4)
         if kind == 1:                           # b parallel to a
             lam = rng.randrange(PRIME)
@@ -187,30 +206,30 @@ def test_zero_wedge_predicate_matches_coordinates():
             c = [x - PRIME for x in c]
         elif kind == 3:                         # a zero or c zero
             a, c = (a, [0] * len(c)) if rng.random() < 0.5 else ([0] * len(a), c)
-        got = wedge3_nonzero(a, b, c, d1, d2)
-        assert got == any(wedge3_coordinates(a, b, c, d1, d2))
+        got = wedge3_nonzero(a, b, c)
+        assert got == any(wedge3_coordinates(a, b, c))
         kinds[got] += 1
     assert kinds[True] > 50 and kinds[False] > 50
 
 
 def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
-    # column "w" reaches into the second block, column "v" into the first
-    rep = MatroidRep(FieldMatrix([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0],
-                                  [0, 0, 0, 1, 1]], 5),
-                     ("x0", "x1", "x2", "y0", "w"))
+    # d1 = 2 and d2 = 1: "w" fits neither block, and a triple that puts
+    # "y0" first or "x2" last has a vector of the other block's length
+    rep = {"x0": [1, 0], "x1": [0, 1], "x2": [1, 1], "y0": [1], "w": [1, 0, 1]}
     bad = [[("w", "x0", "y0")], [("x0", "x1", "w")],
            [("x0", "x1", "y0"), ("x1", "w", "y0")],
-           [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x0", "x1", "w")]]
+           [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x0", "x1", "w")],
+           [("y0", "x0", "y0")], [("x0", "x1", "y0"), ("x0", "x1", "x2")]]
     with pytest.raises(ValueError):
-        wedge3_nonzero([1, 0, 1], [0, 1, 0], [0, 0, 1], 2, 1)
+        wedge3_nonzero([1, 0, 1], [0, 1], [1])
     with pytest.raises(ValueError):
-        wedge3_nonzero([1, 0, 0], [0, 1, 0], [1, 0, 1], 2, 1)
+        wedge3_nonzero([1], [0, 1], [1, 0, 1])
     with pytest.raises(ValueError):
-        wedge3_nonzero([1, 0], [0, 1, 0], [0, 0, 1], 2, 1)
+        wedge3_nonzero([1, 0], [0, 1, 0], [0, 0, 1])
     for triples in bad:
         with pytest.raises(ValueError):
             representative_triples(rep, 2, 1, triples)
-    monkeypatch.setattr(repsets, "_independent", lambda cols, d1: False)
+    monkeypatch.setattr(repsets, "_independent", lambda cols: False)
     for triples in bad:
         with pytest.raises(ValueError):
             representative_triples(rep, 2, 1, triples)
@@ -241,7 +260,7 @@ def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
         return out.read_bytes()
 
     certified = {seed: kernelize(seed, "certified") for seed in ("1", "11")}
-    monkeypatch.setattr(repsets, "_independent", lambda cols, d1: False)
+    monkeypatch.setattr(repsets, "_independent", lambda cols: False)
     for seed, want in certified.items():
         got = kernelize(seed, "exact")
         assert got.startswith(b"# outcome: reduced\n")
