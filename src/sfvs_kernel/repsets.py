@@ -11,15 +11,19 @@ streaming pass, so the kept family never exceeds the wedge space dimension,
 and the pass stops as soon as the kept wedges span that space.
 
 Before that pass runs, a certificate is tried. Triples with a zero wedge are
-found by 2x2 minors alone. The m nonzero wedges are mapped through m random
-decomposable functionals ((x.a)(y.b) - (x.b)(y.a))(z.c), which never writes
-out a coordinate vector. If the m x m image has full rank, the wedges are
-independent, since a linear image of a dependent family is dependent, and
-the streaming pass would keep exactly those m triples; they are returned
-directly. Otherwise the streaming pass runs over the m triples as before.
-Either way the result is exact: the sketch's draws decide only how long the
-filter takes, so it adds no failure probability and needs no caller's
-randomness.
+found by 2x2 minors alone. The m nonzero wedges a^b^c are projected by one
+random r x d1 matrix U to (Ua)^(Ub)^c, which has only C(r,2)*d2
+coordinates, with r the least value for which that is at least m (at most
+d1). The projection w -> (Lambda^2 U (x) I) w is linear, so a dependent
+family of wedges has a dependent image; if the m projected wedges are
+independent, so are the wedges, and the streaming pass would keep exactly
+those m triples, which are returned directly. Otherwise the streaming pass
+runs over the m triples as before. Either way the result is exact: the
+projection's draws decide only how long the filter takes, so it adds no
+failure probability and needs no caller's randomness. Wedges sharing a
+factor v span a space that the projection maps into (Uv)^F^r(x)F^d2, of
+dimension (r-1)*d2, so a large such "star" family can refute the
+certificate although it is independent; it then pays for the exact pass.
 """
 from __future__ import annotations
 
@@ -42,11 +46,13 @@ def representative_triples(columns: Mapping[Hashable, Sequence[int]],
                            ) -> list[tuple[Hashable, Hashable, Hashable]]:
     """Keep a max-rank subfamily of wedge vectors, in input order.
 
-    `columns` maps each label to its vector: the first two labels of a triple
-    must name vectors of length d1 and the third a vector of length d2.
-    Triples with a zero or dependent wedge are dropped.
+    `columns` maps each label to its vector over F_p, entries any ints: the
+    first two labels of a triple must name vectors of length d1 and the third
+    a vector of length d2. Triples with a zero or dependent wedge are dropped.
     """
-    cols = [(columns[a], columns[b], columns[c]) for a, b, c in triples]
+    vec = {x: [e % PRIME for e in columns[x]]
+           for x in dict.fromkeys(x for t in triples for x in t)}
+    cols = [(vec[a], vec[b], vec[c]) for a, b, c in triples]
     if any((len(a), len(b), len(c)) != (d1, d1, d2) for a, b, c in cols):
         raise ValueError("a triple's vectors must have lengths d1, d1 and d2")
     dim = comb(d1, 2) * d2
@@ -62,22 +68,19 @@ def representative_triples(columns: Mapping[Hashable, Sequence[int]],
 
 def _independent(cols: list[Columns]) -> bool:
     """True if the wedges of cols are certainly linearly independent: their
-    images under len(cols) random decomposable functionals are. False means
-    the image was singular, which independent wedges give only by chance."""
+    projected wedges (Ua)^(Ub)^c are, for one random r x d1 matrix U with the
+    least r such that C(r,2)*d2 >= len(cols), at most d1. False means the
+    projected wedges were dependent, which independent wedges give by chance
+    or when many of them share a factor. Entries must lie in [0, p)."""
     m = len(cols)
     if not m:
         return True
-    rng = random.Random(_SKETCH_SEED)
-    xy_of = _random_projector(rng, len(cols[0][0]), 2 * m)  # x_1..x_m, y_1..y_m
-    z_of = _random_projector(rng, len(cols[0][2]), m)
+    d1, d2 = len(cols[0][0]), len(cols[0][2])
+    r = next((r for r in range(2, d1) if comb(r, 2) * d2 >= m), d1)
+    project = _random_projector(random.Random(_SKETCH_SEED), d1, r)
     basis = IncrementalBasis()
-    for a, b, c in cols:
-        pa, pb, zc = xy_of(a), xy_of(b), z_of(c)
-        image = [(xa * yb - xb * ya) % PRIME * zci
-                 for xa, xb, ya, yb, zci in zip(pa, pb, pa[m:], pb[m:], zc)]
-        if not basis.add(image):
-            return False
-    return True
+    return all(basis.add(wedge3_coordinates(project(a), project(b), c))
+               for a, b, c in cols)
 
 
 def _random_projector(rng: random.Random, dim: int, count: int
