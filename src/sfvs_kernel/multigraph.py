@@ -7,7 +7,7 @@ that every operation in the package is deterministic.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
 
@@ -460,6 +460,7 @@ def torso(g: Multigraph, w: Iterable[int]) -> Multigraph:
     """
     ws = set(w)
     tg = g.induced(ws)
+    mult = Counter((min(e), max(e)) for e in tg.edges.values() if e[0] != e[1])
     for comp in g.components(banned_vertices=ws):
         boundary = set()
         for c in comp:
@@ -469,6 +470,7 @@ def torso(g: Multigraph, w: Iterable[int]) -> Multigraph:
         bnd = sorted(boundary)
         for i, u in enumerate(bnd):
             for v in bnd[i + 1:]:
-                if len(tg.edges_between(u, v)) < 2:
+                if mult[u, v] < 2:
+                    mult[u, v] += 1
                     tg.add_edge(u, v)
     return tg
