@@ -80,9 +80,6 @@ class FieldMatrix:
     def rank(self) -> int:
         return len(_basis_of(self.rows))
 
-    def rank_of_columns(self, js: Iterable[int]) -> int:
-        return len(_basis_of(self.column(j) for j in js))
-
 
 def dualize(m: FieldMatrix) -> FieldMatrix:
     """Representation of the dual matroid, columns kept in their original order.

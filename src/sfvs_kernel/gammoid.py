@@ -144,9 +144,6 @@ class MatroidRep:
     order the labels were added."""
     columns: dict[Hashable, list[int]]
 
-    def column(self, label: Hashable) -> list[int]:
-        return self.columns[label]
-
     def rank_of(self, labels: Iterable[Hashable]) -> int:
         basis = IncrementalBasis()
         return sum(basis.add(self.columns[x]) for x in labels)

@@ -19,6 +19,11 @@ def rand_matrix(rng, nrows, ncols, small=False):
                         for _ in range(nrows)], ncols)
 
 
+def rank_of_columns(m, js):
+    basis = IncrementalBasis()
+    return sum(basis.add(m.column(j)) for j in js)
+
+
 def test_inverse():
     for a in (1, 2, 17, PRIME - 1):
         assert a * inverse(a) % PRIME == 1
@@ -41,9 +46,9 @@ def test_rank_known_cases():
     assert FieldMatrix.zeros(3, 5).rank() == 0
     m = FieldMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 0]])
     assert m.rank() == 2
-    assert m.rank_of_columns([0, 1]) == 2
-    assert m.rank_of_columns([0]) == 1
-    assert m.rank_of_columns([]) == 0
+    assert rank_of_columns(m, [0, 1]) == 2
+    assert rank_of_columns(m, [0]) == 1
+    assert rank_of_columns(m, []) == 0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -87,8 +92,8 @@ def test_dual_rank_identity(seed):
     for size in range(ncols + 1):
         for a in itertools.combinations(full, size):
             rest = [j for j in full if j not in a]
-            want = len(a) + m.rank_of_columns(rest) - nrows
-            assert d.rank_of_columns(a) == want
+            want = len(a) + rank_of_columns(m, rest) - nrows
+            assert rank_of_columns(d, a) == want
 
 
 def test_dualize_requires_full_row_rank():

@@ -151,9 +151,9 @@ def test_sink_copy_columns_structure():
     # the gammoid's own columns are kept as they are
     assert all(len(col) == 2 for col in rep.columns.values())
     for v in (1, 2, 3):
-        assert rep.column(v) == base.column(v)
+        assert rep.columns[v] == base.columns[v]
     # 1 has no in-arcs left, so nothing can end at its copies
-    assert rep.column(("c1", 1)) == [0, 0] == rep.column(("c2", 1))
+    assert rep.columns["c1", 1] == [0, 0] == rep.columns["c2", 1]
     # 2's only in-neighbour is 3, so its copies are parallel to 3
     assert rep.rank_of([3, ("c1", 2), ("c2", 2)]) == 1
     assert rep.rank_of([1, ("c1", 2)]) == 2
