@@ -405,3 +405,29 @@ def test_torso_preserves_s_cycles_under_deletions(seed):
         for x in itertools.combinations(w, size):
             assert has_s_cycle(g, s, frozenset(x)) == \
                 has_s_cycle(t, s, frozenset(x))
+
+
+def torso_by_edges_between(g, w):
+    """The torso as it was first written: one edges_between scan per
+    boundary pair. The reference for the edge ids torso assigns."""
+    ws = set(w)
+    tg = g.induced(ws)
+    for comp in g.components(banned_vertices=ws):
+        bnd = sorted({u for c in comp for u in g.neighbors(c) if u in ws})
+        for i, u in enumerate(bnd):
+            for v in bnd[i + 1:]:
+                if len(tg.edges_between(u, v)) < 2:
+                    tg.add_edge(u, v)
+    return tg
+
+
+def test_torso_matches_the_edges_between_reference():
+    rng = random.Random(17)
+    added = 0
+    for _ in range(300):
+        g, _ = random_multigraph(rng, n_hi=14, m_hi=30)
+        w = rng.sample(g.vertices(), rng.randint(1, g.n))
+        t, want = torso(g, w), torso_by_edges_between(g, w)
+        assert t.edges == want.edges and t.vertices() == want.vertices()
+        added += t.m - g.induced(w).m
+    assert added > 100

@@ -235,6 +235,117 @@ def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
             representative_triples(rep, 2, 1, triples)
 
 
+def random_vec(rng, n):
+    return [rng.randrange(PRIME) for _ in range(n)]
+
+
+def fresh_family(rng, d1, d2, m):
+    """m triples of fresh random vectors: independent wedges when m <= dim,
+    up to a chance of order m / p."""
+    return [(random_vec(rng, d1), random_vec(rng, d1), random_vec(rng, d2))
+            for _ in range(m)]
+
+
+def test_dependent_families_never_certify():
+    rng = random.Random(83)
+    kinds = Counter()
+    for _ in range(200):
+        d1, d2 = rng.randint(3, 6), rng.randint(1, 3)
+        dim = comb(d1, 2) * d2
+        cols = fresh_family(rng, d1, d2, rng.randint(2, dim - 1))
+        kind = rng.choice(("sum", "repeat", "parallel"))
+        kinds[kind] += 1
+        a, b, c = cols[0]
+        if kind == "sum":     # a^b^c + a^b'^c = a^(b+b')^c, or the same in c
+            if rng.random() < 0.5:
+                b2 = cols[1][1]
+                cols[1] = (a, b2, c)
+                extra = (a, [(x + y) % PRIME for x, y in zip(b, b2)], c)
+            else:
+                c2 = cols[1][2]
+                cols[1] = (a, b, c2)
+                extra = (a, b, [(x + y) % PRIME for x, y in zip(c, c2)])
+        elif kind == "repeat":
+            extra = cols[0]
+        else:                 # (la + mb)^(b)^(nc) is a multiple of a^b^c
+            lam, mu, nu = (rng.randrange(1, PRIME) for _ in range(3))
+            extra = ([(lam * x + mu * y) % PRIME for x, y in zip(a, b)], b,
+                     [nu * z % PRIME for z in c])
+        cols.insert(rng.randint(0, len(cols)), extra)
+        rng.shuffle(cols)
+        assert all(wedge3_nonzero(*t) for t in cols)
+        assert len(repsets._eliminate(cols, dim)) < len(cols) <= dim
+        assert not repsets._independent(cols)
+    assert min(kinds.values()) > 40
+
+
+def test_certificate_agrees_with_exact_filter_on_independent_families():
+    rng = random.Random(84)
+    for _ in range(150):
+        d1, d2 = rng.randint(2, 7), rng.randint(1, 3)
+        dim = comb(d1, 2) * d2
+        # m = dim projects by a full d1 x d1 matrix; smaller m by r < d1 rows
+        m = rng.choice((1, dim, rng.randint(1, dim)))
+        cols = fresh_family(rng, d1, d2, m)
+        assert repsets._eliminate(cols, dim) == list(range(m))
+        assert repsets._independent(cols)
+
+
+def test_star_family_is_refuted_and_filtered_exactly(paths):
+    # v^b_1, ..., v^b_7 are independent, but their projections lie in
+    # (Uv)^F^r with r = 5, a space of dimension 4
+    rng = random.Random(85)
+    d1 = 8
+    rep = {"v": random_vec(rng, d1), "y": [1]}
+    rep |= {("b", t): random_vec(rng, d1) for t in range(7)}
+    triples = [("v", ("b", t), "y") for t in range(7)]
+    want = exact_filter(rep, d1, 1, triples)
+    assert want == triples
+    assert representative_triples(rep, d1, 1, triples) == want
+    assert paths == Counter(refuted=1, exact=1)
+
+
+def test_unreduced_parallel_copy_is_not_certified(paths):
+    # a + 32p is a; with c2 = 2 c1 the two wedges are parallel
+    rng = random.Random(86)
+    a, b = random_vec(rng, 4), random_vec(rng, 4)
+    rep = {"a": a, "a+32p": [x + 32 * PRIME for x in a], "b": b,
+           "c1": [1], "c2": [2]}
+    triples = [("a", "b", "c1"), ("a+32p", "b", "c2")]
+    assert representative_triples(rep, 4, 1, triples) == triples[:1]
+    assert paths == Counter(refuted=1, exact=1)
+
+
+@pytest.mark.parametrize("path", ["certified", "refuted", "no-sketch"])
+def test_vectors_are_reduced_mod_p_on_entry(paths, path):
+    rng = random.Random(87)
+    if path == "certified":
+        d1, d2 = 4, 2
+        rep = {("x", i): random_vec(rng, d1) for i in range(5)}
+        rep |= {("y", j): random_vec(rng, d2) for j in range(2)}
+        triples = [(("x", i), ("x", (i + 1) % 5), ("y", i % 2))
+                   for i in range(5)]
+    else:
+        # x2 = x0 + x1: refuted with 3 wedges in dimension 3; with d1 = 2
+        # the dimension is 1 and the 3 wedges skip the sketch
+        d1, d2 = (3, 1) if path == "refuted" else (2, 1)
+        rows = [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]][:d1]
+        rep = block_rep(rows, [[5]], ("x0", "x1", "x2", "x3"), ("y0",))
+        triples = [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x1", "x2", "y0")]
+    want = representative_triples(rep, d1, d2, triples)
+    assert want == exact_filter(rep, d1, d2, triples)
+    # negating every vector negates every wedge, so the kept list stays
+    shifts = (lambda x: x + 32 * PRIME, lambda x: x + (PRIME << 80),
+              lambda x: x - PRIME, lambda x: -x)
+    for shift in shifts:
+        moved = {lab: [shift(x) for x in vec] for lab, vec in rep.items()}
+        assert representative_triples(moved, d1, d2, triples) == want
+    settled = {"certified": Counter(certified=5),
+               "refuted": Counter(refuted=5, exact=5),
+               "no-sketch": Counter(exact=5)}
+    assert paths == settled[path]
+
+
 # -- the certificate inside the matroid stage ----------------------------------
 
 
