@@ -218,10 +218,11 @@ def _g_recorded_dumbbells() -> Gadget:
                   _scripted(frozenset([x, y])), (2, 7, 8))
 
 
-def _g_leaf_fan(leaves: int, k: int, expected: bool,
-                fires: tuple[int, ...]) -> Gadget:
-    # hub h carries S-edges to `leaves` leaf vertices, all returning through
-    # y; the blocker isolates h, so uncovered leaves see the pair (h, y)
+def leaf_fan(leaves: int, k: int) -> PairInstance:
+    """A hub h with S-edges to `leaves` leaves that all return through y, a
+    path h-x-y, and one recorded pair on a separate edge. Deleting h (or y)
+    kills every S-cycle and the pair needs one more vertex, so the minimum
+    solution has size 2 at any number of leaves: yes iff k >= 2."""
     g = Multigraph()
     h, x, y = 1, 2, 3
     for v in range(1, 4 + leaves + 2):
@@ -235,9 +236,15 @@ def _g_leaf_fan(leaves: int, k: int, expected: bool,
         g.add_edge(li, y)
     pa, pb = 4 + leaves, 5 + leaves
     g.add_edge(pa, pb)
-    pinst = PairInstance(g, frozenset(s), frozenset([frozenset([pa, pb])]), k)
-    return Gadget(f"leaf-fan-{leaves}", pinst, expected,
-                  _scripted(frozenset([x, y])), fires)
+    return PairInstance(g, frozenset(s), frozenset([frozenset([pa, pb])]), k)
+
+
+def _g_leaf_fan(leaves: int, k: int, expected: bool,
+                fires: tuple[int, ...]) -> Gadget:
+    # with Z = {x, y} = {2, 3} the blocker isolates h, so uncovered leaves
+    # see the pair (h, y)
+    return Gadget(f"leaf-fan-{leaves}", leaf_fan(leaves, k), expected,
+                  _scripted(frozenset([2, 3])), fires)
 
 
 def gadget_suite() -> list[Gadget]:

@@ -6,11 +6,19 @@ called bubbles; linking two bubbles whenever an S-edge runs between them gives
 a forest (a cycle would lift to an S-cycle avoiding Z). Bubbles are solitary,
 leaves, or inner by their degree in that forest.
 
-The engine repeatedly applies the lowest-numbered applicable rule and
-recomputes all derived structure from scratch in between. Rules either answer
-the instance outright, delete graph material, demote S-edges to plain edges,
-or record a vertex pair that every solution must hit; recorded pairs are
-realized as parallel S-edges once no rule applies.
+The engine repeatedly applies the lowest-numbered applicable rule. Rules
+either answer the instance outright, delete graph material, demote S-edges to
+plain edges, or record a vertex pair that every solution must hit; recorded
+pairs are realized as parallel S-edges once no rule applies.
+
+Between steps the engine recomputes all derived structure from scratch, with
+one exception: rule 6's "no flower of order t at z" answers carry over, kept
+as (z, t) pairs. A flower in a subgraph, with a subset of S, is a flower of
+the larger instance too, and every rule that does not answer outright only
+deletes edges, vertices and S-edges or records a pair (pairs play no part in
+a flower), so the instance only shrinks and a "no" stays "no". Rules 4 and 6
+lower k, after which rule 6 asks about another order t = k + 1: a different
+key, so a fresh search. Nothing ever needs to forget an answer.
 
 Soundness of the counting rules leans on witnesses being vertex-disjoint,
 which is asserted at the moment each rule fires rather than trusted.
@@ -251,6 +259,7 @@ class _State:
     steps: int = 0
     stats: Optional[dict] = None
     last_blocker: frozenset[int] = frozenset()
+    no_flower: set[tuple[int, int]] = field(default_factory=set)  # (z, order)
 
 
 @dataclass
@@ -381,9 +390,12 @@ def _apply_once(st: _State) -> Optional[int]:
 
     # rule 6: a flower exceeding the budget forces its center
     for zv in sorted(st.z):
+        if (zv, k + 1) in st.no_flower:
+            continue
         if has_flower_of_order(g, sfro, zv, k + 1):
             _delete_vertex(st, zv)
             return 6
+        st.no_flower.add((zv, k + 1))
 
     dec = decompose(g, sfro, frozenset(st.z))
     matched = cover_matching(dec)

@@ -82,7 +82,6 @@ def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
         if value < least:   # randint fails on an empty range; range() is silent
             raise ValueError(f"{name} (--{name.replace('_', '-')}) must be "
                              f"at least {least}, got {value}")
-    rng = random.Random(seed)
     rep = SweepReport()
 
     for gad in gadget_suite():
@@ -100,6 +99,17 @@ def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
                 f"gadget {gad.name}: rules {missing} did not fire "
                 f"(got {sorted(counts)})")
 
+    for tag, pinst, provider, iseed in sweep_instances(trials, seed, n_max,
+                                                       k_max):
+        _check_one(rep, tag, pinst, provider, iseed)
+
+    return rep
+
+
+def sweep_instances(trials: int, seed: int, n_max: int, k_max: int):
+    """The sweep's random trials after the gadgets: (tag, instance, provider,
+    seed of the matroid stage) for each."""
+    rng = random.Random(seed)
     for i in range(trials):
         iseed = rng.randrange(1 << 30)
         if i % 2 == 0:
@@ -112,6 +122,4 @@ def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
             pinst = bubble_forest(iseed)
             tag = f"bubble-forest[{i}] seed={iseed}"
         provider = None if (i // 2) % 2 == 0 else feasible_z_greedy
-        _check_one(rep, tag, pinst, provider, iseed)
-
-    return rep
+        yield tag, pinst, provider, iseed

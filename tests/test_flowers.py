@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from helpers import random_instance
+from helpers import hub_instance, random_instance
 from sfvs_kernel import flowers, ruleengine
 from sfvs_kernel.flowers import has_flower_of_order, max_flower, validate_flower
 from sfvs_kernel.generators import gnm
@@ -85,31 +85,6 @@ def test_validate_flower_rejects_overlap():
     doubled = Flower(fl.center, list(fl.petals) + list(fl.petals))
     with pytest.raises(AssertionError):
         validate_flower(g, s, doubled)
-
-
-def hub_instance(rng, z=0):
-    """A center z joined to most of 5-8 vertices, with S-loops, parallel
-    S-edges and plain loops at z and S-edges among the rest."""
-    n = rng.randint(5, 8)
-    g = Multigraph()
-    for v in range(n + 1):
-        g.add_vertex(v)
-    s = set()
-    for v in range(1, n + 1):
-        if rng.random() < 0.8:
-            g.add_edge(z, v)
-        if rng.random() < 0.3:
-            s.add(g.add_edge(z, v))
-    for _ in range(rng.randint(0, 2)):
-        s.add(g.add_edge(z, z))
-    for _ in range(rng.randint(0, 2)):
-        g.add_edge(z, z)
-    for _ in range(rng.randint(n // 2, n + 2)):
-        u, v = rng.sample(range(1, n + 1), 2)
-        e = g.add_edge(u, v)
-        if rng.random() < 0.4:
-            s.add(e)
-    return g, frozenset(s)
 
 
 def test_petal_ends_count_the_subdivided_neighbours():

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
-from sfvs_kernel.generators import gadget_suite
+from helpers import hub_instance, random_instance
+from sfvs_kernel import flowers, ruleengine
+from sfvs_kernel.generators import _scripted, gadget_suite, gnm, leaf_fan
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
                                     has_s_cycle, normalize)
 from sfvs_kernel.oracle import FeasibleZ, feasible_z_greedy, solve_exact
 from sfvs_kernel.pipeline import run_full, run_rules
 from sfvs_kernel.ruleengine import (Decomposition, cover_matching, decompose,
                                     finalize, reduce_pairs, uncovered_leaves)
+from sfvs_kernel.verify import sweep_instances
 
 
 def answer_of(inst: Instance) -> bool:
@@ -297,3 +299,149 @@ def test_engine_preserves_answer_on_random_instances(seed):
         assert st_["m"] <= (kk + 1) * nz * nz + kk * nz
         assert st_["l"] <= (kk + 1) * nz * (st_["b"] + nz) + kk * nz
         assert len(rep.final.s) <= 2 * st_["m"] + st_["l"] + kk * kk
+
+
+# -- rule 6's stored "no flower" answers --------------------------------------
+
+
+def recheck_stored_answers(monkeypatch):
+    """Before every engine step, decide each stored (z, t) whose z is still
+    in Z afresh; every one must still be a "no". Returns the (z, t) checked."""
+    checked = []
+    step = ruleengine._apply_once
+
+    def wrapped(st_):
+        s = frozenset(st_.s)
+        for z, t in sorted(st_.no_flower):
+            if z in st_.z:
+                assert not flowers.has_flower_of_order(st_.graph, s, z, t), \
+                    f"a flower of order {t} at {z} after a stored no"
+                checked.append((z, t))
+        return step(st_)
+
+    monkeypatch.setattr(ruleengine, "_apply_once", wrapped)
+    return checked
+
+
+def count_decisions(monkeypatch):
+    """Record (z, t, answer) for every flower decision rule 6 runs."""
+    decisions = []
+    decide = ruleengine.has_flower_of_order
+
+    def counted(g, s, z, t):
+        decisions.append((z, t, decide(g, s, z, t)))
+        return decisions[-1][2]
+
+    monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
+    return decisions
+
+
+def test_stored_no_answers_hold_on_the_verify_sweep(monkeypatch):
+    checked = recheck_stored_answers(monkeypatch)
+    cases = [(gad.pinst, gad.provider) for gad in gadget_suite()]
+    cases += [(pinst, provider) for _, pinst, provider, _
+              in sweep_instances(200, 0, 10, 3)]   # `sfvs verify`'s defaults
+    for pinst, provider in cases:
+        run_rules(pinst, provider=provider)
+    assert len(checked) > 20
+
+
+def hub_cluster(rng, hubs):
+    """`hubs` hub instances, the c-th shifted by 6c, so that neighbouring
+    ones share up to three vertices."""
+    g, s = Multigraph(), set()
+    for c in range(hubs):
+        h, hs = hub_instance(rng)
+        for v in h.vertices():
+            if not g.has_vertex(v + 6 * c):
+                g.add_vertex(v + 6 * c)
+        for e in sorted(h.edges):
+            u, v = h.endpoints(e)
+            ne = g.add_edge(u + 6 * c, v + 6 * c)
+            if e in hs:
+                s.add(ne)
+    return g, frozenset(s)
+
+
+def test_stored_no_answers_hold_on_fans_and_hubs(monkeypatch):
+    checked = recheck_stored_answers(monkeypatch)
+    cases = [leaf_fan(leaves, k) for leaves in range(5, 10) for k in (2, 3)]
+    rng = random.Random(3)
+    for i in range(150):
+        g, s = hub_cluster(rng, 2 + i % 2)
+        cases.append(PairInstance(g, s, frozenset(), rng.randint(1, 4)))
+    for pinst in cases:
+        for provider in (None, feasible_z_greedy):
+            run_rules(pinst, provider=provider)
+    assert len(checked) > 100
+
+
+def add_triangle_petals(g, s, hub, count):
+    """`count` triangles hub-a-b with the S-edge a-b, on fresh vertices."""
+    for _ in range(count):
+        a = max(g.vertices()) + 1
+        g.add_vertex(a)
+        g.add_vertex(a + 1)
+        g.add_edge(hub, a)
+        s.add(g.add_edge(a, a + 1))
+        g.add_edge(a + 1, hub)
+
+
+def test_rule6_asks_again_after_its_own_drop_in_k(monkeypatch):
+    # at k = 2, hub 1 has a flower of order 2 and hub 2 one of order 3: rule
+    # 6 forces 2 first, then, at k = 1, hub 1. Hub 3's one petal keeps the
+    # provider's Z over budget, so the engine runs at all
+    decisions = count_decisions(monkeypatch)
+    g, s = Multigraph.from_edges([1, 2, 3], []), set()
+    for hub, petals in ((1, 2), (2, 3), (3, 1)):
+        add_triangle_petals(g, s, hub, petals)
+    pinst = PairInstance(g, frozenset(s), frozenset(), 2)
+    rep = run_rules(pinst, provider=_scripted(frozenset([1, 2, 3])))
+    assert rep.engine.rule_counts[6] == 2
+    assert set(rep.engine.forced) == {1, 2}
+    assert decisions[:3] == [(1, 3, False), (2, 3, True), (1, 2, True)]
+    assert answer_of(rep.final) == solve_exact(pinst).found
+
+
+def test_rule6_asks_again_after_rule4_lowers_k(monkeypatch):
+    # at k = 2, hub 1 has a flower of order 2; x = 2 sits in two pairs, and
+    # four dumbbells x-a-b-y make rule 7 record {x, y}; rule 4 then deletes
+    # x, and at k = 1 rule 6 forces hub 1
+    decisions = count_decisions(monkeypatch)
+    hub, x, y = 1, 2, 3
+    g, s = Multigraph.from_edges([hub, x, y, 4, 5], [(x, y)]), set()
+    for _ in range(4):
+        a = max(g.vertices()) + 1
+        g.add_vertex(a)
+        g.add_vertex(a + 1)
+        g.add_edge(x, a)
+        s.add(g.add_edge(a, a + 1))
+        g.add_edge(a + 1, y)
+    add_triangle_petals(g, s, hub, 2)
+    pairs = frozenset([frozenset((x, 4)), frozenset((x, 5))])
+    pinst = PairInstance(g, frozenset(s), pairs, 2)
+    rep = run_rules(pinst, provider=_scripted(frozenset([hub, x, y])))
+    assert rep.engine.rule_counts[7] == 1
+    assert rep.engine.rule_counts[4] == 1
+    assert rep.engine.rule_counts[6] == 1
+    assert rep.engine.forced == (x, hub)
+    assert (hub, 3, False) in decisions and decisions[-1] == (hub, 2, True)
+    assert answer_of(rep.final) == solve_exact(pinst).found
+
+
+@pytest.mark.parametrize("leaves", [5, 6, 7])
+def test_fan_decides_its_hub_once(monkeypatch, leaves):
+    # every one of the fan's rule-9/10 steps reaches rule 6 at the same k,
+    # so the exact provider's hub is searched once and its "no" carries over
+    decisions = count_decisions(monkeypatch)
+    rep = run_rules(leaf_fan(leaves, 2))
+    assert rep.engine.rule_counts == {2: 1, 9: 1, 10: leaves - 2}
+    assert decisions == [(1, 3, False)]
+
+
+def test_greedy_gnm_decisions_are_all_distinct(monkeypatch):
+    decisions = count_decisions(monkeypatch)
+    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy)
+    # rule 6 is reached once, after one rule-2 step: nothing carries over
+    assert rep.outcome == "reduced"
+    assert len(decisions) == len(set(decisions)) == 9
