@@ -53,7 +53,7 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._wrap([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "FieldMatrix":

@@ -7,11 +7,14 @@ loops and parallel S-edges at the center look like ordinary triangles and
 so the order is computed by a parity-constrained search over that gammoid:
 depth-first over segment subsets with a flow feasibility check.
 
-The decision version is deterministic. Every petal ends at two neighbours of
-z of its own, so fewer than 2t neighbours in the subdivided graph certify
-"no"; that count is read off G in O(deg z), before anything is subdivided.
-Every other decision, "yes" included, comes from the search, which stops at
-the first t linked segments and never explores more than half as many
+The decision version is deterministic and answers "no" in one of two ways
+before it searches. Every petal ends at two neighbours of z of its own, so
+fewer than 2t neighbours in the subdivided graph certify "no"; that count is
+read off G in O(deg z), before anything is subdivided. Every petal also
+contains an N(z)-path of the subdivided G - z, so a maximum packing of fewer
+than t disjoint N(z)-paths (Gallai's A-path theorem, one certified matching
+in `pathpacking`) certifies "no" too. Only the search answers "yes": it stops
+at the first t linked segments and never explores more than half as many
 segments as z has neighbours.
 """
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Optional
 # no caller here: kept because perfbench/layers.py probes flowers.represent
 from .gammoid import Digraph, bidirected, disjoint_paths, linked, represent
 from .multigraph import Multigraph
+from .pathpacking import gallai_blocker_or_packing
 
 
 @dataclass
@@ -148,20 +152,22 @@ def _petal_ends(g: Multigraph, s: frozenset[int], z: int) -> int:
 
 
 def _setup(g: Multigraph, s: frozenset[int], z: int):
+    """The subdivided graph G2, G2 - z, the neighbours of z in G2 and the
+    S-segments' end pairs, with each edge of G2 mapped to its edge of g."""
     g2, s2, orig_eid = _subdivide_all(g, s)
     rest = g2.copy()
     rest.remove_vertex(z)
-    d = bidirected(rest)
     sources = sorted(v for v in g2.neighbors(z) if v != z)
     pairs = [tuple(sorted(g2.endpoints(e))) for e in sorted(s2)]
-    return g2, d, sources, pairs, orig_eid
+    return g2, rest, sources, pairs, orig_eid
 
 
 def max_flower(g: Multigraph, s: frozenset[int], z: int) -> Flower:
     """Exact maximum flower at z, with petals materialized."""
     if not g.has_vertex(z) or not s:
         return Flower(z, [])
-    g2, d, sources, pairs, orig_eid = _setup(g, s, z)
+    g2, rest, sources, pairs, orig_eid = _setup(g, s, z)
+    d = bidirected(rest)
     chosen = _search(d, sources, pairs, None)
     petals = _reconstruct(g2, z, d, sources, chosen, orig_eid, set(g.vertices()))
     return Flower(z, petals)
@@ -170,14 +176,26 @@ def max_flower(g: Multigraph, s: frozenset[int], z: int) -> Flower:
 def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int,
                         t: int) -> bool:
     """Decision version, exact. Fewer than t S-edges or fewer than 2t petal
-    ends at z answer no before the subdivided graph is built; the search
-    decides the rest, and answers yes as soon as it has linked t segments."""
+    ends at z answer no before the subdivided graph is built.
+
+    Next, fewer than t disjoint N(z)-paths in G2 - z answer no. That bound is
+    sound: every petal in G2 is a cycle through z of length at least 3, so
+    its part in G2 - z runs between two distinct neighbours of z and contains
+    an N(z)-path; petals share only z, so t petals give t disjoint N(z)-paths.
+    The packing comes from `gallai_blocker_or_packing`, which checks its
+    Tutte-Berge witness and its blocker before it returns; a failed check
+    raises AssertionError and is never taken for a no.
+
+    The search decides the rest, and answers yes as soon as it has linked t
+    segments."""
     if t <= 0:
         return True
     if not g.has_vertex(z) or len(s) < t or _petal_ends(g, s, z) < 2 * t:
         return False
-    _, d, sources, pairs, _ = _setup(g, s, z)
-    return len(_search(d, sources, pairs, t)) >= t
+    _, rest, sources, pairs, _ = _setup(g, s, z)
+    if gallai_blocker_or_packing(rest, sources, t - 1).packing is None:
+        return False
+    return len(_search(bidirected(rest), sources, pairs, t)) >= t
 
 
 def validate_flower(g: Multigraph, s: frozenset[int], fl: Flower) -> None:

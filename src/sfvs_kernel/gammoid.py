@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .fieldlinalg import PRIME, FieldMatrix, IncrementalBasis, dualize
@@ -30,14 +31,14 @@ from .multigraph import Multigraph
 class Digraph:
     """A digraph on hashable labels, indexed once when it is built.
 
-    `index` numbers the vertices in the order of `vertices`, `succ[i]` lists
-    the successors of vertex i by index in increasing order, and the split
-    graph behind `disjoint_paths` is laid out here too. Vertex i becomes the
-    in-node 2i and the out-node 2i + 1. Arc e of the split graph ends at
-    head[e] and its reverse is arc e ^ 1: arc 2i runs from the in-node of i to
-    its out-node, and each arc (u, w) with u != w runs from the out-node of u
-    to the in-node of w. `arcs_at[x]` lists the arcs leaving node x, ordered by
-    the vertex at their other end.
+    `index` numbers the vertices in the order of `vertices`, and `succ[i]`
+    lists the successors of vertex i by index in increasing order. The split
+    graph behind `disjoint_paths` is laid out by `split`, the first time a
+    flow needs it. Vertex i becomes the in-node 2i and the out-node 2i + 1.
+    Arc e of the split graph ends at head[e] and its reverse is arc e ^ 1: arc
+    2i runs from the in-node of i to its out-node, and each arc (u, w) with
+    u != w runs from the out-node of u to the in-node of w. `arcs_at[x]` lists
+    the arcs leaving node x, ordered by the vertex at their other end.
     """
     vertices: tuple[Hashable, ...]
     arcs: frozenset[tuple[Hashable, Hashable]]
@@ -51,18 +52,21 @@ class Digraph:
             succ[self.index[u]].append(self.index[w])
         self.succ = [sorted(ws) for ws in succ]
 
+    @cached_property
+    def split(self) -> tuple[list[int], list[list[int]]]:
+        """The split graph as (head, arcs_at)."""
         n = len(self.vertices)
         pairs = [(2 * v, 2 * v + 1) for v in range(n)]
         pairs += [(2 * u + 1, 2 * w) for u, ws in enumerate(self.succ)
                   for w in ws if w != u]
-        self.head: list[int] = []
+        head: list[int] = []
         at: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
         for x, y in pairs:
-            e = len(self.head)
-            self.head += (y, x)
+            e = len(head)
+            head += (y, x)
             at[x].append((y >> 1, e))
             at[y].append((x >> 1, e + 1))
-        self.arcs_at = [[e for _, e in sorted(es)] for es in at]
+        return head, [[e for _, e in sorted(es)] for es in at]
 
     @classmethod
     def build(cls, vertices: Iterable[Hashable],
@@ -85,7 +89,7 @@ def disjoint_paths(d: Digraph, sources: Iterable[Hashable],
     src = sorted({d.index[v] for v in sources if v in d.index})
     free_src = set(src)
     free_sink = {d.index[t] for t in sinks if t in d.index}
-    head, arcs_at = d.head, d.arcs_at
+    head, arcs_at = d.split
     cap = [1, 0] * (len(head) // 2)
     ends: set[int] = set()
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from helpers import hub_instance, random_instance
+from helpers import hub_instance, random_instance, random_multigraph
 from sfvs_kernel import flowers, ruleengine
 from sfvs_kernel.flowers import has_flower_of_order, max_flower, validate_flower
-from sfvs_kernel.generators import gnm
+from sfvs_kernel.generators import gnm, leaf_fan
 from sfvs_kernel.multigraph import Multigraph
 from sfvs_kernel.oracle import brute_force_flower, feasible_z_greedy
 from sfvs_kernel.pipeline import run_rules
@@ -188,3 +188,53 @@ def test_greedy_ladder_yes_decisions_link_one_set_per_petal(monkeypatch):
     yes = [(t, n) for t, ok, n in decisions if ok]
     assert yes
     assert all(n == t for t, n in yes)
+
+
+def _loaded_center(rng, z=1):
+    """A random small multigraph with S-loops and parallel S-edges at z, and
+    some S-edges elsewhere."""
+    g, eids = random_multigraph(rng, n_hi=7)
+    s = set(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
+    for _ in range(rng.randint(0, 2)):
+        s.add(g.add_edge(z, z))
+    for v in rng.sample(g.vertices(), rng.randint(0, min(3, g.n))):
+        if v != z:
+            for _ in range(rng.randint(1, 2)):
+                s.add(g.add_edge(z, v))
+    return g, frozenset(s)
+
+
+def test_apath_bound_keeps_every_decision(monkeypatch):
+    settled = []
+    bound = flowers.gallai_blocker_or_packing
+
+    def counted(*args):
+        res = bound(*args)
+        settled.append(res.packing is None)
+        return res
+
+    monkeypatch.setattr(flowers, "gallai_blocker_or_packing", counted)
+    rng = random.Random(21)
+    for i in range(400):
+        g, s = hub_instance(rng) if i % 2 else _loaded_center(rng)
+        z = 0 if i % 2 else 1
+        want = brute_force_flower(g, s, z)
+        for t in range(want + 2):
+            assert has_flower_of_order(g, s, z, t) == (t <= want)
+    # the bound both answers "no" and lets decisions through to the search
+    assert settled.count(True) > 80
+    assert settled.count(False) > 800
+
+
+@pytest.mark.parametrize("leaves", [5, 7, 12, 20, 30])
+def test_leaf_fan_hub_no_needs_no_flow(monkeypatch, leaves):
+    # every petal at the hub runs through y, so one N(z)-path at most: the
+    # bound settles t = 3 and 4 however many leaves the fan has
+    def boom(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(flowers, "_search", boom)
+    monkeypatch.setattr(flowers, "linked", boom)
+    inst = leaf_fan(leaves, 2)
+    for t in (3, 4):
+        assert not has_flower_of_order(inst.graph, inst.s, 1, t)
