@@ -3,7 +3,8 @@
     sfvs kernelize INPUT [-o OUT] [--stage full|rules|matroid] [--seed N]
                    [--provider exact|greedy]
     sfvs solve INPUT [--max-k N]
-    sfvs gen [-o OUT] --model gnm|bubble-forest [--n N --m M --s S --k K] --seed N
+    sfvs gen [-o OUT] --model gnm|bubble-forest|planted [--n N --m M --s S --k K]
+             [--d D] --seed N
     sfvs verify [--trials N] [--n-max N] [--k-max N] [--seed N]
 
 Exit codes: 0 on success (for solve: the answer is yes; for verify: all
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .generators import bubble_forest, gnm
+from .generators import bubble_forest, gnm, planted
 from .instancefile import FormatError, parse_instance, serialize_instance
 from .oracle import feasible_z_greedy, solve_exact
 from .pipeline import run_full, run_matroid, run_rules
@@ -72,6 +73,8 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     if args.model == "gnm":
         pinst = gnm(args.n, args.m, args.s, args.k, args.seed)
+    elif args.model == "planted":
+        pinst = planted(args.n, args.k, args.d, args.seed)
     else:
         pinst = bubble_forest(args.seed)
     _emit(serialize_instance(pinst), args.output)
@@ -108,11 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gn = sub.add_parser("gen", help="generate a random instance")
     gn.add_argument("-o", "--output", default="-")
-    gn.add_argument("--model", choices=("gnm", "bubble-forest"), default="gnm")
+    gn.add_argument("--model", choices=("gnm", "bubble-forest", "planted"),
+                    default="gnm")
     gn.add_argument("--n", type=int, default=10)
     gn.add_argument("--m", type=int, default=14)
     gn.add_argument("--s", type=int, default=4)
     gn.add_argument("--k", type=int, default=2)
+    gn.add_argument("--d", type=int, default=4,
+                    help="plain edges per hub (planted model)")
     gn.add_argument("--seed", type=int, default=0)
     gn.set_defaults(func=cmd_gen)
 

@@ -1,9 +1,11 @@
-"""Instance generators: two random models plus a deterministic gadget suite.
+"""Instance generators: three random models plus a deterministic gadget suite.
 
 The gnm model is unstructured noise (loops and parallel edges included, so
 normalization has something to do). The bubble-forest model grows a small
 tree of vertex clusters joined by S-edges with one or two hub vertices
-attached, which is the shape the reduction rules care about. The gadget
+attached, which is the shape the reduction rules care about. The planted
+model scales that shape up: a tree of cycles joined by S-edges, plus k hubs
+that solve it, so its answer is "yes" at any size. The gadget
 suite is a fixed list of hand-built instances, each engineered to make one
 specific rule fire, with its expected answer and, where needed, a scripted
 feasible-Z provider.
@@ -38,6 +40,48 @@ def gnm(n: int, m: int, s_count: int, k: int, seed: int) -> PairInstance:
         eids.append(g.add_edge(u, v))
     s = frozenset(rng.sample(eids, s_count)) if s_count else frozenset()
     return PairInstance(g, s, frozenset(), k)
+
+
+def planted(n: int, k: int, d: int, seed: int) -> PairInstance:
+    """A "yes" instance with a planted solution: the k hubs 1, ..., k.
+
+    The n - k other vertices form random cycles of 3-7 vertices (blocks),
+    joined in a random tree by S-edges, so every S-edge is a bridge once the
+    hubs are gone. Each hub then gets d plain edges to distinct random block
+    vertices; d is the difficulty knob.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if n - k < 3:
+        raise ValueError(f"n must be at least k + 3 ({k + 3}), got {n}")
+    if not 0 <= d <= n - k:
+        raise ValueError(f"d must be between 0 and n - k ({n - k}), got {d}")
+    rng = random.Random(seed)
+    others = list(range(k + 1, n + 1))
+    rng.shuffle(others)
+    blocks: list[list[int]] = []
+    start = 0
+    while start < len(others):
+        left = len(others) - start
+        size = rng.randint(3, 7)
+        if left - size < 3:   # keep the remainder a whole block
+            size = left if left <= 7 else left - 3
+        blocks.append(others[start:start + size])
+        start += size
+    g = Multigraph()
+    for v in range(1, n + 1):
+        g.add_vertex(v)
+    for block in blocks:
+        for i, v in enumerate(block):
+            g.add_edge(v, block[i - 1])
+    s = set()
+    for i in range(1, len(blocks)):
+        j = rng.randrange(i)
+        s.add(g.add_edge(rng.choice(blocks[i]), rng.choice(blocks[j])))
+    for h in range(1, k + 1):
+        for v in rng.sample(others, d):
+            g.add_edge(h, v)
+    return PairInstance(g, frozenset(s), frozenset(), k)
 
 
 def bubble_forest(seed: int, n_max: int = 16) -> PairInstance:

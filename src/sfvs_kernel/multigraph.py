@@ -175,16 +175,22 @@ class Multigraph:
 
     def shortest_path(self, src: int, dst: int,
                       banned_vertices: frozenset[int] = frozenset(),
-                      banned_edges: frozenset[int] = frozenset()) -> Optional[list[int]]:
-        """BFS path from src to dst as a vertex list, or None."""
+                      banned_edges: frozenset[int] = frozenset(),
+                      limit: Optional[int] = None) -> Optional[list[int]]:
+        """BFS path from src to dst as a vertex list, or None. Given a limit,
+        a path of more than `limit` vertices counts as none, and the search
+        stops at that depth."""
         if src in banned_vertices or dst in banned_vertices:
             return None
         if src == dst:
             return [src]
         prev: dict[int, int] = {src: src}
+        depth = {src: 0}
         queue = deque([src])
         while queue:
             v = queue.popleft()
+            if limit is not None and depth[v] + 2 > limit:
+                return None    # the queue holds no shallower vertex
             for eid in self.incident(v):
                 if eid in banned_edges:
                     continue
@@ -193,6 +199,7 @@ class Multigraph:
                 if w in prev or w in banned_vertices:
                     continue
                 prev[w] = v
+                depth[w] = depth[v] + 1
                 if w == dst:
                     path = [w]
                     while path[-1] != src:
@@ -201,9 +208,12 @@ class Multigraph:
                 queue.append(w)
         return None
 
-    def bridges(self, banned_vertices: Collection[int] = ()) -> set[int]:
+    def bridges(self, banned_vertices: Collection[int] = (),
+                roots: Optional[Iterable[int]] = None) -> set[int]:
         """Edge ids of g minus the banned vertices whose removal disconnects
         their endpoints there; edges at a banned vertex are not reported.
+        Given roots, only the components of g minus the banned vertices that
+        hold a root are searched.
 
         Loops and edges with a parallel sibling are never bridges. Tarjan's
         lowlink in one iterative depth-first pass, O(n + m): the search skips
@@ -213,7 +223,7 @@ class Multigraph:
         order: dict[int, int] = {}
         low: dict[int, int] = {}
         out = set()
-        for root in self._inc:
+        for root in self._inc if roots is None else roots:
             if root in order or root in banned_vertices:
                 continue
             order[root] = low[root] = len(order)
@@ -301,10 +311,47 @@ def find_s_cycle(g: Multigraph, s: frozenset[int],
             if best is None or len(best) > 2:
                 best = [u, v]
             continue
-        path = g.shortest_path(u, v, banned_vertices=deleted, banned_edges=frozenset([eid]))
-        if path is not None and (best is None or len(path) < len(best)):
+        path = g.shortest_path(u, v, banned_vertices=deleted,
+                               banned_edges=frozenset([eid]),
+                               limit=None if best is None else len(best) - 1)
+        if path is not None:
             best = path
     return best
+
+
+def s_cycle_packing(g: Multigraph, s: frozenset[int],
+                    limit: int) -> list[list[int]]:
+    """Up to `limit` vertex-disjoint S-cycles, as vertex lists: a shortest
+    S-cycle, then a shortest one avoiding its vertices, and so on until
+    `limit` are found or none is left. Greedy, so fewer than `limit` does
+    not mean no larger packing exists."""
+    cycles: list[list[int]] = []
+    used: set[int] = set()
+    while len(cycles) < limit:
+        cycle = find_s_cycle(g, s, used)
+        if cycle is None:
+            break
+        cycles.append(cycle)
+        used.update(cycle)
+    return cycles
+
+
+def is_s_cycle(g: Multigraph, s: frozenset[int], cycle: list[int]) -> bool:
+    """Is the vertex list a cycle of g through a special edge? [v] needs a
+    special loop at v, and [u, v] two parallel edges, one of them special.
+    Longer lists need distinct vertices, an edge between each consecutive
+    pair, last and first included, and a special edge between one pair."""
+    if not cycle or len(set(cycle)) != len(cycle) or \
+            not all(g.has_vertex(v) for v in cycle):
+        return False
+    if len(cycle) == 1:
+        return any(e in s for e in g.edges_between(cycle[0], cycle[0]))
+    if len(cycle) == 2:
+        band = g.edges_between(*cycle)
+        return len(band) >= 2 and any(e in s for e in band)
+    bands = [g.edges_between(a, b)
+             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return all(bands) and any(e in s for band in bands for e in band)
 
 
 def has_s_cycle(g: Multigraph, s: frozenset[int],

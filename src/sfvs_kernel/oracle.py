@@ -117,14 +117,62 @@ def feasible_z_exact(g: Multigraph, s: frozenset[int]) -> FeasibleZ:
 
 
 def feasible_z_greedy(g: Multigraph, s: frozenset[int]) -> FeasibleZ:
-    """Feasible but uncertified: start from all base endpoints, prune greedily."""
+    """Feasible but uncertified: start from all base endpoints, prune greedily.
+
+    Each base endpoint v, in increasing order, leaves Z unless G - (Z - v)
+    has an S-cycle. G - Z has none, so such a cycle runs through v and,
+    besides v, stays in one component C of G - Z that v has two edges into.
+    Z never holds an S-edge endpoint, so the cycle's S-edges lie in C. A
+    union-find keeps the components of G - Z and the S-edges inside each,
+    merging them as vertices leave Z. Only when some such C holds an S-edge
+    does a bridge pass run, and only on v's component of G - (Z - v).
+    """
     z = set(_base_endpoints(g, s))
     if has_s_cycle(g, s, z):
         raise AssertionError("base endpoints must hit every S-cycle")
+    parent = {v: v for v in g.vertices() if v not in z}
+    inner: dict[int, list[int]] = {v: [] for v in parent}   # root -> S-edges
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def join(ra: int, rb: int) -> int:
+        """Merge two roots, the one with fewer S-edges under the other."""
+        if ra == rb:
+            return ra
+        if len(inner[ra]) > len(inner[rb]):
+            ra, rb = rb, ra
+        parent[ra] = rb
+        inner[rb] += inner.pop(ra)
+        return rb
+
+    for eid in sorted(g.edges):
+        a, b = g.edges[eid]
+        if a in parent and b in parent:
+            root = join(find(a), find(b))
+            if eid in s:
+                inner[root].append(eid)
+
     for v in sorted(z):
+        touches: dict[int, int] = {}       # root -> edges from v into it
+        for eid in g.incident(v):
+            a, b = g.edges[eid]
+            w = b if a == v else a
+            if w in parent:
+                r = find(w)
+                touches[r] = touches.get(r, 0) + 1
+        live = {e for r, c in touches.items() if c >= 2 for e in inner[r]}
         z.discard(v)
-        if has_s_cycle(g, s, z):
+        if live and not live <= g.bridges(z, roots=[v]):
             z.add(v)
+            continue
+        parent[v], inner[v] = v, []
+        root = v
+        for r in touches:
+            root = join(root, r)
     return FeasibleZ(frozenset(z), None)
 
 

@@ -13,7 +13,7 @@ import sfvs_kernel
 from sfvs_kernel import cli
 from sfvs_kernel.cli import main
 from sfvs_kernel.instancefile import parse_instance, serialize_instance, write_instance
-from sfvs_kernel.generators import gnm
+from sfvs_kernel.generators import gnm, planted
 from sfvs_kernel.multigraph import Multigraph, PairInstance, normalize
 from sfvs_kernel.oracle import solve_exact
 
@@ -44,6 +44,14 @@ def test_gen_bubble_forest_model(tmp_path):
     assert main(["gen", "--model", "bubble-forest", "--seed", "3",
                  "-o", str(out)]) == 0
     parse_instance(out.read_text()).validate()
+
+
+def test_gen_planted_model(tmp_path):
+    out = tmp_path / "planted.sfvs"
+    assert main(["gen", "--model", "planted", "--n", "60", "--k", "3",
+                 "--d", "5", "--seed", "3", "-o", str(out)]) == 0
+    p = parse_instance(out.read_text())
+    assert serialize_instance(p) == serialize_instance(planted(60, 3, 5, seed=3))
 
 
 def test_solve_exit_codes(tmp_path, capsys):
@@ -124,8 +132,9 @@ def test_kernelize_is_deterministic(tmp_path):
 
 def test_rule_stage_output_does_not_depend_on_seed(tmp_path):
     # the rule stage draws nothing at random; --seed reaches only the matroid
-    # stage. This instance fires rule 6 on a flower the search finds.
-    path, _ = gen_file(tmp_path, n=80, m=120, s=13, k=3, seed=11)
+    # stage. A planted "yes" instance, so the rule stage reduces it.
+    path = tmp_path / "planted.sfvs"
+    write_instance(str(path), planted(80, 3, 4, seed=11))
     outs = []
     for seed in ("0", "1"):
         out = tmp_path / f"rules-{seed}.out"

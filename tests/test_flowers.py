@@ -10,9 +10,9 @@ from helpers import hub_instance, random_instance, random_multigraph
 from sfvs_kernel import flowers, ruleengine
 from sfvs_kernel.flowers import has_flower_of_order, max_flower, validate_flower
 from sfvs_kernel.generators import gnm, leaf_fan
-from sfvs_kernel.multigraph import Multigraph
+from sfvs_kernel.multigraph import Multigraph, normalize
 from sfvs_kernel.oracle import brute_force_flower, feasible_z_greedy
-from sfvs_kernel.pipeline import run_rules
+from sfvs_kernel.ruleengine import reduce_pairs
 
 
 def test_two_triangle_flower():
@@ -159,7 +159,10 @@ def test_greedy_ladder_flower_decisions_need_no_search(monkeypatch):
 
     monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
     monkeypatch.setattr(flowers, "_search", boom)
-    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy)
+    # straight to the engine: `run_rules` answers this "no" with its
+    # S-cycle packing
+    rep = reduce_pairs(normalize(gnm(100, 150, 16, 3, seed=11)).instance,
+                       provider=feasible_z_greedy)
     assert rep.outcome == "reduced"
     assert len(decisions) > 0
 
@@ -183,7 +186,8 @@ def test_greedy_ladder_yes_decisions_link_one_set_per_petal(monkeypatch):
 
     monkeypatch.setattr(flowers, "linked", counted_link)
     monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
-    rep = run_rules(gnm(150, 225, 25, 3, seed=11), provider=feasible_z_greedy)
+    rep = reduce_pairs(normalize(gnm(150, 225, 25, 3, seed=11)).instance,
+                       provider=feasible_z_greedy)
     assert rep.outcome == "trivial-no"
     yes = [(t, n) for t, ok, n in decisions if ok]
     assert yes

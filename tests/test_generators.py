@@ -1,8 +1,9 @@
 """Instance generators: determinism, validity, gadget inventory."""
 import pytest
 
-from sfvs_kernel.generators import bubble_forest, gadget_suite, gnm
+from sfvs_kernel.generators import bubble_forest, gadget_suite, gnm, planted
 from sfvs_kernel.instancefile import serialize_instance
+from sfvs_kernel.multigraph import is_solution
 
 
 def test_gnm_shape_and_determinism():
@@ -52,6 +53,35 @@ def test_bubble_forest_bounds_and_determinism():
         again = bubble_forest(seed)
         assert serialize_instance(again) == serialize_instance(p)
     assert seen_s
+
+
+@pytest.mark.parametrize("n,k,d", [(3, 0, 0), (10, 1, 3), (40, 3, 4),
+                                   (300, 3, 20), (1000, 3, 4)])
+def test_planted_hubs_solve_it(n, k, d):
+    p = planted(n, k, d, seed=11)
+    p.validate()
+    assert p.graph.n == n and p.k == k and not p.pairs
+    hubs = frozenset(range(1, k + 1))
+    assert is_solution(p, hubs)
+    assert all(p.graph.degree(h) == d for h in hubs)
+    # the blocks are cycles of 3-7 vertices, and the S-edges a tree on them
+    blocks = p.graph.components(hubs, p.s)
+    assert all(3 <= len(b) <= 7 for b in blocks)
+    assert len(p.s) == len(blocks) - 1
+    assert len(p.graph.components(hubs)) == 1
+
+
+def test_planted_is_deterministic_in_the_seed():
+    a, b = planted(200, 3, 4, seed=5), planted(200, 3, 4, seed=5)
+    assert serialize_instance(a) == serialize_instance(b)
+    assert serialize_instance(planted(200, 3, 4, seed=6)) != serialize_instance(a)
+
+
+@pytest.mark.parametrize("n,k,d", [(4, 2, 1), (10, -1, 2), (10, 2, 9),
+                                   (10, 2, -1)])
+def test_planted_rejects_bad_parameters(n, k, d):
+    with pytest.raises(ValueError):
+        planted(n, k, d, seed=0)
 
 
 def test_gadget_suite_inventory():

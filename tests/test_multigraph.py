@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import random_instance, random_multigraph
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
-                                    find_s_cycle, has_s_cycle, is_solution,
-                                    normalize, torso)
+                                    find_s_cycle, has_s_cycle, is_s_cycle,
+                                    is_solution, normalize, s_cycle_packing,
+                                    torso)
+from sfvs_kernel.generators import gnm
 from sfvs_kernel.oracle import solve_exact
 from sfvs_kernel.skernel import check_normalized
 
@@ -91,6 +93,20 @@ def test_bridges_match_reference(seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bridges_from_roots_stay_in_their_components(seed):
+    rng = random.Random(seed)
+    g, _ = random_multigraph(rng, n_lo=2, n_hi=12)
+    banned = set(rng.sample(g.vertices(), rng.randint(0, g.n - 1)))
+    alive = [v for v in g.vertices() if v not in banned]
+    roots = rng.sample(alive, rng.randint(1, min(2, len(alive))))
+    sk = skeleton(g, banned)
+    reach = set().union(*(nx.node_connected_component(sk, r) for r in roots))
+    expect = {e for e in g.bridges(banned) if g.endpoints(e)[0] in reach}
+    assert g.bridges(banned, roots=roots) == expect
+
+
+@given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_bridges_on_a_deep_path_with_parallels(seed):
     # the path is deeper than the interpreter's default recursion limit
@@ -129,6 +145,50 @@ def test_shortest_path_is_shortest(seed):
         assert g.edges_between(a, b)
     assert len(set(path)) == len(path)
     assert len(path) - 1 == nx.shortest_path_length(sk, src, dst)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_shortest_path_limit_drops_only_longer_paths(seed):
+    rng = random.Random(seed)
+    g, _ = random_multigraph(rng, n_lo=2, n_hi=12)
+    vs = g.vertices()
+    src, dst = rng.choice(vs), rng.choice(vs)
+    path = g.shortest_path(src, dst)
+    for limit in range(1, g.n + 2):
+        got = g.shortest_path(src, dst, limit=limit)
+        assert got == (path if path is not None and len(path) <= limit else None)
+
+
+@pytest.mark.parametrize("graph_seed", range(40))
+def test_find_s_cycle_matches_the_unbounded_search(graph_seed):
+    # the bounded BFS must pick the very cycle the unbounded one picks
+    def unbounded(g, s, deleted):
+        best = None
+        for eid in sorted(s):
+            u, v = g.edges[eid]
+            if u in deleted or v in deleted:
+                continue
+            if u == v:
+                return [u]
+            if len([e for e in g.edges_between(u, v) if e != eid]) > 0:
+                if best is None or len(best) > 2:
+                    best = [u, v]
+                continue
+            path = g.shortest_path(u, v, banned_vertices=deleted,
+                                   banned_edges=frozenset([eid]))
+            if path is not None and (best is None or len(path) < len(best)):
+                best = path
+        return best
+
+    rng = random.Random(graph_seed)
+    n = rng.randint(5, 60)
+    pinst = gnm(n, rng.randint(n, 2 * n), rng.randint(1, n // 2), 2, graph_seed)
+    for inst in (pinst, normalize(pinst).instance):
+        g, s = inst.graph, inst.s
+        for _ in range(5):
+            deleted = frozenset(rng.sample(g.vertices(), rng.randint(0, g.n // 4)))
+            assert find_s_cycle(g, s, deleted) == unbounded(g, s, deleted)
 
 
 def test_induced_keeps_parallels_and_loops():
@@ -198,6 +258,46 @@ def test_find_s_cycle_returns_a_real_cycle(seed):
             assert eids
             hit = hit or any(e in s for e in eids)
         assert hit
+
+
+def test_is_s_cycle_hand_cases():
+    g = Multigraph.from_edges(range(1, 8), [])
+    loop, plain_loop = g.add_edge(1, 1), g.add_edge(2, 2)
+    s_pair, sibling = g.add_edge(3, 4), g.add_edge(3, 4)
+    lone = g.add_edge(4, 5)
+    tri = [g.add_edge(5, 6), g.add_edge(6, 7), g.add_edge(7, 5)]
+    s = frozenset([loop, s_pair, lone, tri[0]])
+    assert is_s_cycle(g, s, [1])
+    assert not is_s_cycle(g, s, [2])                 # a plain loop
+    assert is_s_cycle(g, s, [3, 4]) and is_s_cycle(g, s, [4, 3])
+    assert not is_s_cycle(g, s - {s_pair}, [3, 4])   # two plain parallels
+    assert not is_s_cycle(g, s, [4, 5])              # one edge, no sibling
+    assert is_s_cycle(g, s, [5, 6, 7]) and is_s_cycle(g, s, [7, 6, 5])
+    assert not is_s_cycle(g, s - {tri[0]}, [5, 6, 7])
+    assert not is_s_cycle(g, s, [3, 4, 5])           # 5 and 3 are apart
+    assert not is_s_cycle(g, s, [5, 6, 5])           # repeats a vertex
+    assert not is_s_cycle(g, s, [5, 6, 9])           # 9 is no vertex
+    assert not is_s_cycle(g, s, [])
+    g.remove_edge(sibling)
+    assert not is_s_cycle(g, s, [3, 4])
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_s_cycle_packing_is_disjoint_and_maximal(seed):
+    rng = random.Random(seed)
+    pinst = random_instance(rng, n_hi=12)
+    g, s = pinst.graph, pinst.s
+    limit = rng.randint(0, 4)
+    cycles = s_cycle_packing(g, s, limit)
+    assert len(cycles) <= limit
+    used = [v for c in cycles for v in c]
+    assert len(used) == len(set(used))
+    assert all(is_s_cycle(g, s, c) for c in cycles)
+    if len(cycles) < limit:
+        assert not ref_has_s_cycle(g, s, frozenset(used))
+    if cycles:
+        assert len(cycles[0]) == len(find_s_cycle(g, s))
 
 
 def test_is_solution_checks_pairs():

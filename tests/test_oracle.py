@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_solve, random_instance
-from sfvs_kernel.generators import gnm
+from sfvs_kernel.generators import bubble_forest, gnm, planted
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
                                     find_s_cycle, has_s_cycle, is_solution,
                                     normalize)
 from sfvs_kernel.oracle import (MAX_EXACT_BUDGET, MAX_EXACT_VERTICES,
-                                brute_force_flower, feasible_z_exact,
-                                feasible_z_greedy, solve_exact)
+                                _base_endpoints, brute_force_flower,
+                                feasible_z_exact, feasible_z_greedy,
+                                solve_exact)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -129,6 +130,38 @@ def test_greedy_provider_contract(seed):
     # greedy output is inclusion-minimal
     for v in fz.z:
         assert has_s_cycle(g, s, fz.z - {v})
+
+
+def quadratic_greedy_z(g, s):
+    """The greedy provider as it was before the union-find: one whole-graph
+    bridge pass per base endpoint. Test oracle only."""
+    z = set(_base_endpoints(g, s))
+    for v in sorted(z):
+        z.discard(v)
+        if has_s_cycle(g, s, z):
+            z.add(v)
+    return frozenset(z)
+
+
+def test_confined_pruning_matches_the_quadratic_reference():
+    rng = random.Random(16)
+    cases = []
+    for i in range(100):
+        n = rng.randint(4, 80)
+        cases.append(gnm(n, rng.randint(n, 2 * n), rng.randint(0, n // 3 + 1),
+                         3, seed=i))
+        cases.append(bubble_forest(i))
+        k = rng.randint(0, 3)
+        cases.append(planted(rng.randint(k + 3, 150), k, rng.randint(0, 3),
+                             seed=i))
+    sizes = []
+    for pinst in cases:
+        ninst = normalize(pinst).instance
+        g, s = ninst.graph, ninst.s
+        z = feasible_z_greedy(g, s).z
+        assert z == quadratic_greedy_z(g, s)
+        sizes.append(len(z))
+    assert max(sizes) >= 10
 
 
 def test_bridge_test_agrees_with_cycle_search_at_scale():

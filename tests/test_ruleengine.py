@@ -364,6 +364,8 @@ def hub_cluster(rng, hubs):
 
 
 def test_stored_no_answers_hold_on_fans_and_hubs(monkeypatch):
+    # straight to the engine: the S-cycle packing of `run_rules` answers many
+    # of the hub clusters before any rule runs
     checked = recheck_stored_answers(monkeypatch)
     cases = [leaf_fan(leaves, k) for leaves in range(5, 10) for k in (2, 3)]
     rng = random.Random(3)
@@ -372,7 +374,7 @@ def test_stored_no_answers_hold_on_fans_and_hubs(monkeypatch):
         cases.append(PairInstance(g, s, frozenset(), rng.randint(1, 4)))
     for pinst in cases:
         for provider in (None, feasible_z_greedy):
-            run_rules(pinst, provider=provider)
+            reduce_pairs(normalize(pinst).instance, provider=provider)
     assert len(checked) > 100
 
 
@@ -390,15 +392,17 @@ def add_triangle_petals(g, s, hub, count):
 def test_rule6_asks_again_after_its_own_drop_in_k(monkeypatch):
     # at k = 2, hub 1 has a flower of order 2 and hub 2 one of order 3: rule
     # 6 forces 2 first, then, at k = 1, hub 1. Hub 3's one petal keeps the
-    # provider's Z over budget, so the engine runs at all
+    # provider's Z over budget, so the engine runs at all. Three hubs give
+    # three disjoint S-triangles, which `run_rules` answers before the engine
     decisions = count_decisions(monkeypatch)
     g, s = Multigraph.from_edges([1, 2, 3], []), set()
     for hub, petals in ((1, 2), (2, 3), (3, 1)):
         add_triangle_petals(g, s, hub, petals)
     pinst = PairInstance(g, frozenset(s), frozenset(), 2)
-    rep = run_rules(pinst, provider=_scripted(frozenset([1, 2, 3])))
-    assert rep.engine.rule_counts[6] == 2
-    assert set(rep.engine.forced) == {1, 2}
+    rep = reduce_pairs(normalize(pinst).instance,
+                       provider=_scripted(frozenset([1, 2, 3])))
+    assert rep.rule_counts[6] == 2
+    assert set(rep.forced) == {1, 2}
     assert decisions[:3] == [(1, 3, False), (2, 3, True), (1, 2, True)]
     assert answer_of(rep.final) == solve_exact(pinst).found
 
@@ -441,7 +445,10 @@ def test_fan_decides_its_hub_once(monkeypatch, leaves):
 
 def test_greedy_gnm_decisions_are_all_distinct(monkeypatch):
     decisions = count_decisions(monkeypatch)
-    rep = run_rules(gnm(100, 150, 16, 3, seed=11), provider=feasible_z_greedy)
+    # `run_rules` answers this "no" with its S-cycle packing, so the engine
+    # is called directly
+    rep = reduce_pairs(normalize(gnm(100, 150, 16, 3, seed=11)).instance,
+                       provider=feasible_z_greedy)
     # rule 6 is reached once, after one rule-2 step: nothing carries over
     assert rep.outcome == "reduced"
     assert len(decisions) == len(set(decisions)) == 9
