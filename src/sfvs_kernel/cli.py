@@ -9,8 +9,11 @@
 
 Exit codes: 0 on success (for solve: the answer is yes; for verify: all
 checks passed), 1 for a negative result (no solution / failed checks),
-2 for usage or input errors, 3 for an internal error (a failed soundness
-check or any other unexpected exception), which is never an answer.
+2 for usage errors, input that cannot be read or parsed, an output that
+cannot be written, and arguments that solve, gen or verify reject, 3 for an
+internal error (a failed soundness check, or any other exception, a
+ValueError raised while kernelize runs the pipeline included), which is
+never an answer.
 """
 from __future__ import annotations
 
@@ -102,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     kz.add_argument("--provider", choices=("exact", "greedy"), default="exact")
     kz.add_argument("--seed", type=int, default=0,
                     help="seed of the matroid stage's random representation")
-    kz.set_defaults(func=cmd_kernelize)
+    kz.set_defaults(func=cmd_kernelize, arg_errors=())
 
     sv = sub.add_parser("solve", help="exhaustively solve a small instance")
     sv.add_argument("input", help="instance file, or - for stdin")
     sv.add_argument("--max-k", type=int, default=None)
-    sv.set_defaults(func=cmd_solve)
+    sv.set_defaults(func=cmd_solve, arg_errors=(ValueError,))
 
     gn = sub.add_parser("gen", help="generate a random instance")
     gn.add_argument("-o", "--output", default="-")
@@ -120,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--d", type=int, default=4,
                     help="plain edges per hub (planted model)")
     gn.add_argument("--seed", type=int, default=0)
-    gn.set_defaults(func=cmd_gen)
+    gn.set_defaults(func=cmd_gen, arg_errors=(ValueError,))
 
     vf = sub.add_parser("verify", help="randomized self-check sweep")
     vf.add_argument("--trials", type=int, default=200)
     vf.add_argument("--n-max", type=int, default=10)
     vf.add_argument("--k-max", type=int, default=3)
     vf.add_argument("--seed", type=int, default=0)
-    vf.set_defaults(func=cmd_verify)
+    vf.set_defaults(func=cmd_verify, arg_errors=(ValueError,))
 
     return p
 
@@ -136,7 +139,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, ValueError) as exc:
+    # input that is not ASCII fails to decode; solve, gen and verify check
+    # their arguments with ValueError, which in kernelize is internal
+    except (FormatError, OSError, UnicodeDecodeError, *args.arg_errors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

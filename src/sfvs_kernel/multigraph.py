@@ -168,11 +168,6 @@ class Multigraph:
         g._next_eid = self._next_eid
         return g
 
-    def path_exists(self, src: int, dst: int,
-                    banned_vertices: frozenset[int] = frozenset(),
-                    banned_edges: frozenset[int] = frozenset()) -> bool:
-        return self.shortest_path(src, dst, banned_vertices, banned_edges) is not None
-
     def shortest_path(self, src: int, dst: int,
                       banned_vertices: frozenset[int] = frozenset(),
                       banned_edges: frozenset[int] = frozenset(),
@@ -490,6 +485,21 @@ def normalize(inst: Instance | PairInstance) -> Normalization:
 
     out = PairInstance(g, frozenset(s), frozenset(pairs), k)
     return Normalization(out, landing, frozenset(forced))
+
+
+def base_of(g: Multigraph, s: Collection[int], p: int) -> int:
+    """The base of S-edge endpoint p: its neighbour besides its partner.
+    Raises ValueError unless p has the shape normalize leaves: degree 2,
+    one S-edge, and a neighbour besides its partner."""
+    if g.degree(p) != 2:
+        raise ValueError("S-edge endpoints must have degree 2")
+    sids = [e for e in g.incident(p) if e in s]
+    if len(sids) != 1:
+        raise ValueError("S-edges must form an induced matching")
+    others = [w for w in g.neighbors(p) if w not in g.endpoints(sids[0])]
+    if len(others) != 1:
+        raise ValueError("S-edge endpoints need a neighbour besides their partner")
+    return others[0]
 
 
 # -- torso -------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import (Instance, Multigraph, PairInstance, find_s_cycle,
-                         has_s_cycle)
+from .multigraph import (Instance, Multigraph, PairInstance, base_of,
+                         find_s_cycle, has_s_cycle)
 
 MAX_EXACT_VERTICES = 25
 MAX_EXACT_BUDGET = 6
@@ -89,19 +89,10 @@ class FeasibleZ:
 
 
 def _base_endpoints(g: Multigraph, s: frozenset[int]) -> list[int]:
-    # non-S neighbors of the S-edge endpoints; in a normalized instance these
-    # are the original endpoints each subdivided edge landed on
-    out: set[int] = set()
-    vs = set()
-    for eid in s:
-        vs.update(g.endpoints(eid))
-    for p in vs:
-        for eid in g.incident(p):
-            if eid in s:
-                continue
-            u, w = g.endpoints(eid)
-            out.add(w if u == p else u)
-    return sorted(out - vs)
+    # the bases of the S-edge endpoints: the original endpoints each
+    # subdivided edge landed on
+    vs = {v for eid in s for v in g.endpoints(eid)}
+    return sorted({base_of(g, s, p) for p in vs} - vs)
 
 
 def feasible_z_exact(g: Multigraph, s: frozenset[int]) -> FeasibleZ:

@@ -308,21 +308,19 @@ def gallai_blocker_or_packing(g: Multigraph, a: Iterable[int], k: int) -> Gallai
 
 
 def _close_under_twins(aux: _TwinGraph, witness: set[int], nu: int) -> set[int]:
-    """Drop lone twin copies from the witness; the Tutte-Berge value is kept.
+    """Drop every lone twin copy from the witness at once; the Tutte-Berge
+    value is kept.
 
     For a twin pair with exactly one copy in the witness, removing that copy
     merges it into its twin's component, which must be odd for a minimizer, so
     the expression |U| - odd(aux - U) is unchanged. Dropping a copy leaves
-    every other copy as lone as it was, so the order does not matter.
+    every other copy as lone as it was, so all of them can go together.
     """
-    u = set(witness)
-    if _tutte_berge(aux.adj, u) != nu:
+    if _tutte_berge(aux.adj, witness) != nu:
         raise AssertionError("witness does not certify the matching number")
-    for x in sorted(witness):
-        if x < aux.first_a and x ^ 1 not in witness:
-            u.discard(x)
-            if _tutte_berge(aux.adj, u) != nu:
-                raise AssertionError("twin closure broke the witness")
+    u = {x for x in witness if x >= aux.first_a or x ^ 1 in witness}
+    if len(u) < len(witness) and _tutte_berge(aux.adj, u) != nu:
+        raise AssertionError("twin closure broke the witness")
     return u
 
 

@@ -11,6 +11,13 @@ either answer the instance outright, delete graph material, demote S-edges to
 plain edges, or record a vertex pair that every solution must hit; recorded
 pairs are realized as parallel S-edges once no rule applies.
 
+Rules 7-10 are one count, made twice: over the edges M of a matching of the
+bubble forest that covers every inner bubble (rules 7/8), then over the
+edges L of the uncovered leaves, seen through the pieces left when the
+blockers B join Z (rules 9/10). A pair of z-vertices seen by k + 2 edges
+with disjoint parts must be hit and is recorded (7, 9); failing that, an
+edge whose every sighting is already recorded is demoted (8, 10).
+
 Between steps the engine recomputes all derived structure from scratch, with
 one exception: rule 6's "no flower of order t at z" answers carry over, kept
 as (z, t) pairs. A flower in a subgraph, with a subset of S, is a flower of
@@ -30,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .flowers import has_flower_of_order
-from .multigraph import (Instance, Multigraph, PairInstance, has_s_cycle,
-                         is_solution)
+from .multigraph import (Instance, Multigraph, PairInstance, base_of,
+                         has_s_cycle, is_solution)
 from .oracle import FeasibleZ, feasible_z_exact
 from .pathpacking import exists_apath, gallai_blocker_or_packing
 from .skernel import canonical_no, canonical_yes, check_normalized
@@ -81,21 +88,6 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
         adj[bv][bu] = eid
         link[eid] = (bu, bv)
 
-    # forest check by union-find over bubble links
-    parent = list(range(len(bubbles)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid, (bu, bv) in link.items():
-        ru, rv = find(bu), find(bv)
-        if ru == rv:
-            raise AssertionError("bubble graph must be a forest")
-        parent[ru] = rv
-
     yset: dict[int, set[int]] = {i: set() for i in range(len(bubbles))}
     for eid in sorted(g.edges):
         if eid in s or g.is_loop(eid):
@@ -117,7 +109,8 @@ def cover_matching(dec: Decomposition) -> set[int]:
     """Matching in the bubble forest covering every inner bubble: match each
     subtree root to its smallest child, then do the same below every skipped
     non-leaf. Iterative, so the depth of the forest is not bounded by the
-    recursion limit."""
+    recursion limit. Each component it walks must have one link fewer than
+    bubbles, or the bubble graph is no forest and AssertionError is raised."""
     n = len(dec.bubbles)
     seen = [False] * n
     matched: set[int] = set()
@@ -139,6 +132,8 @@ def cover_matching(dec: Decomposition) -> set[int]:
                     seen[w] = True
                     comp.append(w)
                     stack.append(w)
+        if sum(dec.degree(x) for x in comp) != 2 * (len(comp) - 1):
+            raise AssertionError("bubble graph must be a forest")
         # subtree roots with their parents, each with an edge to place
         todo: list[tuple[int, Optional[int]]] = [(min(comp), None)]
         while todo:
@@ -164,20 +159,6 @@ def uncovered_leaves(dec: Decomposition, matched: set[int]) -> list[int]:
 
 
 # ------------------------------------------------------------------ blocker
-
-
-def _base_of(g: Multigraph, s: frozenset[int], x: int) -> int:
-    """The unique non-partner neighbor of an S-edge endpoint."""
-    sids = [e for e in g.incident(x) if e in s]
-    if len(sids) != 1:
-        raise AssertionError("a normalized S endpoint has exactly one S-edge")
-    u, v = g.endpoints(sids[0])
-    partner = v if u == x else u
-    others = {w for w in g.neighbors(x) if w != partner}
-    if len(others) != 1:
-        raise AssertionError(
-            "normalized S endpoints have exactly one base neighbor")
-    return next(iter(others))
 
 
 def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
@@ -229,7 +210,7 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
         if x in q_of_pid:
             x = q_of_pid[x]
         if any(e in s for e in g.incident(x)):
-            x = _base_of(g, s, x)
+            x = base_of(g, s, x)
         out.add(x)
 
     vs = {v for eid in s for v in g.endpoints(eid)}
@@ -320,20 +301,22 @@ def _rule3(st: _State) -> Optional[int]:
 
 
 def _m_sees(dec: Decomposition, matched: set[int]):
-    out = {}
+    """Sightings of the matched edges: both bubbles, the z-vertices both
+    see, and the pairs one sees with the other, as sorted tuples."""
+    out = []
     for eid in sorted(matched):
         a, b = dec.link[eid]
         za, zb = dec.yadj[a], dec.yadj[b]
-        singles = za & zb
-        prs = {frozenset((x, y)) for x in za for y in zb if x != y}
-        out[eid] = (singles, prs)
+        prs = {(min(x, y), max(x, y)) for x in za for y in zb if x != y}
+        out.append((eid, (a, b), za & zb, prs))
     return out
 
 
 def _leaf_edges(g: Multigraph, st: _State, dec: Decomposition, lset: list[int],
                 deczb: Decomposition):
-    """Per uncovered leaf: its S-edge, its piece and partner piece in the
-    Z+B decomposition, and the z-vertices each side sees."""
+    """Sightings of the uncovered leaves' S-edges: the leaf's piece and its
+    partner piece in the Z+B decomposition, the z-vertices both see, and
+    the pairs (partner side, leaf side) they see, oriented."""
     out = []
     for leaf in lset:
         (far, eid), = dec.adj[leaf].items()
@@ -351,8 +334,38 @@ def _leaf_edges(g: Multigraph, st: _State, dec: Decomposition, lset: list[int],
         fy = deczb.yadj[fzb]
         singles = fy & ey
         oriented = {(x, y) for x in fy for y in ey if x != y}
-        out.append((eid, izb, fzb, singles, oriented))
+        out.append((eid, (izb, fzb), singles, oriented))
     return out
+
+
+def _count_sightings(st: _State, sightings) -> Optional[int]:
+    """Rules 7/8 (on M) or 9/10 (on L) over sightings (eid, parts, singles,
+    keys): an S-edge, the two bubbles or pieces it joins, the z-vertices
+    both see, and one key per pair of z-vertices it sees. Records the least
+    unrecorded key seen through k + 2 disjoint parts (returns 0), or else
+    demotes the lowest-id edge with no singles whose pairs are all recorded
+    (returns 1); None when neither applies."""
+    k = st.k
+    cnt = Counter(key for *_, keys in sightings for key in keys)
+    cands = sorted(key for key, c in cnt.items()
+                   if c >= k + 2 and frozenset(key) not in st.pairs)
+    if cands:
+        pick = cands[0]
+        wit = [parts for _, parts, _, keys in sightings if pick in keys]
+        if len(wit) < k + 2:
+            raise AssertionError("a recorded pair needs k+2 witnesses")
+        used: set[int] = set()
+        for parts in wit:
+            if used.intersection(parts):
+                raise AssertionError("witness parts must be disjoint")
+            used.update(parts)
+        st.pairs.add(frozenset(pick))
+        return 0
+    for eid, _, singles, keys in sorted(sightings, key=lambda sg: sg[0]):
+        if not singles and all(frozenset(key) in st.pairs for key in keys):
+            st.s.discard(eid)
+            return 1
+    return None
 
 
 def _apply_once(st: _State) -> Optional[int]:
@@ -397,37 +410,13 @@ def _apply_once(st: _State) -> Optional[int]:
             return 6
         st.no_flower.add((zv, k + 1))
 
+    # rules 7/8: a pair seen by k+2 matched edges, or a matched edge whose
+    # every sighting is already recorded
     dec = decompose(g, sfro, frozenset(st.z))
     matched = cover_matching(dec)
-    sees = _m_sees(dec, matched)
-
-    # rule 7: a pair seen by k+2 matched edges must be hit
-    cnt7 = Counter()
-    for _, prs in sees.values():
-        for p in prs:
-            cnt7[p] += 1
-    cands = sorted((p for p, c in cnt7.items()
-                    if c >= k + 2 and p not in st.pairs), key=sorted)
-    if cands:
-        pick = cands[0]
-        wit = [e for e in sees if pick in sees[e][1]]
-        if len(wit) < k + 2:
-            raise AssertionError("rule 7 needs k+2 witnesses")
-        used: set[int] = set()
-        for e in wit:
-            a, b = dec.link[e]
-            if {a, b} & used:
-                raise AssertionError("witness bubbles must be disjoint")
-            used |= {a, b}
-        st.pairs.add(pick)
-        return 7
-
-    # rule 8: a matched edge whose every sighting is already recorded
-    for e in sorted(sees):
-        singles, prs = sees[e]
-        if not singles and prs <= st.pairs:
-            st.s.discard(e)
-            return 8
+    fired = _count_sightings(st, _m_sees(dec, matched))
+    if fired is not None:
+        return 7 + fired
 
     # rules 9/10 look at uncovered leaves through the blocker-refined pieces
     blockers = {zv: compute_blocker(g, sfro, dec, zv, k)
@@ -443,34 +432,10 @@ def _apply_once(st: _State) -> Optional[int]:
         "pairs": len(st.pairs), "s": len(st.s), "k": st.k, "n": g.n,
     }
 
-    # rule 9: an oriented pair seen by k+2 leaf edges must be hit
-    cnt9 = Counter()
-    for _, _, _, _, oriented in ledges:
-        for o in oriented:
-            cnt9[o] += 1
-    cands9 = sorted((o for o, c in cnt9.items()
-                     if c >= k + 2 and frozenset(o) not in st.pairs))
-    if cands9:
-        x, y = cands9[0]
-        wit = [(izb, fzb) for _, izb, fzb, _, oriented in ledges
-               if (x, y) in oriented]
-        if len(wit) < k + 2:
-            raise AssertionError("rule 9 needs k+2 witnesses")
-        pieces: set[int] = set()
-        for izb, fzb in wit:
-            if izb in pieces or fzb in pieces:
-                raise AssertionError("witness pieces must be disjoint")
-            pieces |= {izb, fzb}
-        st.pairs.add(frozenset((x, y)))
-        return 9
-
-    # rule 10: a leaf edge whose every sighting is already recorded
-    for eid, _, _, singles, oriented in sorted(ledges):
-        if not singles and all(frozenset(o) in st.pairs for o in oriented):
-            st.s.discard(eid)
-            return 10
-
-    return None
+    # rules 9/10: the same count over the uncovered leaves' edges, with
+    # oriented pairs
+    fired = _count_sightings(st, ledges)
+    return None if fired is None else 9 + fired
 
 
 def finalize(g: Multigraph, s: set[int], pairs: set[frozenset[int]],

@@ -32,7 +32,7 @@ from math import comb
 from typing import Collection, Optional
 
 from .gammoid import add_sink_copies, bidirected, represent, uniform_rep
-from .multigraph import Instance, Multigraph, torso
+from .multigraph import Instance, Multigraph, base_of, torso
 from .repsets import representative_triples
 
 
@@ -64,11 +64,8 @@ def check_normalized(inst: Instance) -> None:
         u, v = g.endpoints(eid)
         if u == v:
             raise ValueError("normalized instances have no S-loops")
-        for p in (u, v):
-            if g.degree(p) != 2:
-                raise ValueError("S-edge endpoints must have degree 2")
-            if sum(1 for e in g.incident(p) if e in s) != 1:
-                raise ValueError("S-edges must form an induced matching")
+        base_of(g, s, u)
+        base_of(g, s, v)
 
 
 def cycle_core(g: Multigraph, t: Collection[int]) -> Multigraph:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sfvs_kernel
-from sfvs_kernel import cli
+from sfvs_kernel import cli, ruleengine
 from sfvs_kernel.cli import main
 from sfvs_kernel.instancefile import parse_instance, serialize_instance, write_instance
 from sfvs_kernel.generators import gnm, planted
@@ -229,6 +229,28 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: AssertionError: invariant broken\n"
+
+
+def test_value_error_inside_the_pipeline_exits_3(tmp_path, capsys,
+                                                 monkeypatch):
+    # a ValueError from the pipeline is an internal failure, not bad input
+    path, _ = gen_file(tmp_path)
+
+    def broken(inst):
+        raise ValueError("not normalized")
+
+    monkeypatch.setattr(ruleengine, "check_normalized", broken)
+    assert main(["kernelize", str(path), "--stage", "rules"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: not normalized\n"
+
+
+def test_non_ascii_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.sfvs"
+    bad.write_bytes("p sfvs 2 1 0\ne 1 2 - # caf\u00e9\n".encode("utf-8"))
+    assert main(["kernelize", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'ascii' codec")
 
 
 def test_verify_sweep_runs_under_python_O():

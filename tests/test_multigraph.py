@@ -216,8 +216,8 @@ def ref_has_s_cycle(g, s, deleted=frozenset()):
             continue
         if u == v:
             return True
-        if g.path_exists(u, v, banned_vertices=frozenset(deleted),
-                         banned_edges=frozenset([eid])):
+        if g.shortest_path(u, v, banned_vertices=frozenset(deleted),
+                           banned_edges=frozenset([eid])) is not None:
             return True
     return False
 

@@ -1,4 +1,5 @@
 """Reduction-rule engine: per-rule gadgets, decompositions, fixpoint bounds."""
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import hub_instance, random_instance
 from sfvs_kernel import flowers, ruleengine
-from sfvs_kernel.generators import _scripted, gadget_suite, gnm, leaf_fan
+from sfvs_kernel.generators import (_scripted, gadget_suite, gnm, leaf_fan,
+                                    planted)
+from sfvs_kernel.instancefile import serialize_instance
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
                                     has_s_cycle, normalize)
 from sfvs_kernel.oracle import FeasibleZ, feasible_z_greedy, solve_exact
@@ -175,6 +178,13 @@ def test_cover_matching_on_a_deep_path():
     dec = bubble_forest_decomposition([(i, i + 1) for i in range(n - 1)], n)
     matched = cover_matching(dec)
     assert matched == set(range(0, n - 1, 2))
+
+
+@pytest.mark.parametrize("edges, n", [([(0, 1), (1, 2), (2, 0)], 3),
+                                      ([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], 6)])
+def test_cover_matching_rejects_a_bubble_cycle(edges, n):
+    with pytest.raises(AssertionError, match="forest"):
+        cover_matching(bubble_forest_decomposition(edges, n))
 
 
 def test_cover_matching_matches_the_recursive_version():
@@ -452,3 +462,56 @@ def test_greedy_gnm_decisions_are_all_distinct(monkeypatch):
     # rule 6 is reached once, after one rule-2 step: nothing carries over
     assert rep.outcome == "reduced"
     assert len(decisions) == len(set(decisions)) == 9
+
+
+def mirrored_dumbbells() -> PairInstance:
+    """Four dumbbells between hubs 1 and 2 at k = 2, every other one
+    reversed, so the matched edges see {1, 2} from both sides."""
+    g, s = Multigraph.from_edges(range(1, 13), [(1, 2), (11, 12)]), set()
+    for i in range(4):
+        a, b = 3 + 2 * i, 4 + 2 * i
+        s.add(g.add_edge(a, b))
+        x, y = (1, 2) if i % 2 == 0 else (2, 1)
+        g.add_edge(a, x)
+        g.add_edge(b, y)
+    return PairInstance(g, frozenset(s), frozenset([frozenset((11, 12))]), 2)
+
+
+def two_fans() -> PairInstance:
+    """Hubs 1 and 2 with {1, 2} recorded at k = 2, a dumbbell 3-4, and fans
+    at 5 and 8 with two leaves each, one leaf on either hub."""
+    plain = [(2, 3), (1, 4), (2, 5), (1, 5), (1, 6), (2, 7), (1, 8), (2, 8),
+             (1, 9), (2, 10)]
+    g = Multigraph.from_edges([], plain)
+    s = {g.add_edge(u, v) for u, v in [(3, 4), (5, 6), (5, 7), (8, 9), (8, 10)]}
+    return PairInstance(g, frozenset(s), frozenset([frozenset((1, 2))]), 2)
+
+
+def rule_stage_digest() -> str:
+    """sha256 over the outcome and serialized kernel of `run_full` on the
+    gadgets, the verify sweep's first 200 trials, leaf fans, two planted
+    points, and two inputs whose output depends on the pairs of rules 7/8
+    being unordered and those of rules 9/10 oriented: together they fire
+    every rule."""
+    cases = [(gad.pinst, gad.provider, 0) for gad in gadget_suite()]
+    cases += [(pinst, provider, iseed) for _, pinst, provider, iseed
+              in sweep_instances(200, 0, 10, 3)]
+    cases += [(leaf_fan(leaves, 2), None, 0) for leaves in (5, 6, 7)]
+    cases += [(planted(n, 3, 4, 11), feasible_z_greedy, 0) for n in (300, 1000)]
+    cases += [(mirrored_dumbbells(), _scripted(frozenset((1, 2))), 0),
+              (two_fans(), feasible_z_greedy, 0)]
+    h = hashlib.sha256()
+    for pinst, provider, seed in cases:
+        rep = run_full(pinst, provider=provider, seed=seed)
+        h.update(f"# outcome: {rep.outcome}\n".encode())
+        h.update(serialize_instance(rep.final.with_pairs()).encode())
+    return h.hexdigest()
+
+
+# as written before rules 7/8 and 9/10 shared one counting routine
+RULE_STAGE_SHA256 = \
+    "c5d81c7ddb67fa65416139a944c6b6ba71e37663f58de8f51306a3f53f8151de"
+
+
+def test_rule_stage_output_is_pinned():
+    assert rule_stage_digest() == RULE_STAGE_SHA256
