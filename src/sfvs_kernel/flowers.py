@@ -187,15 +187,23 @@ def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int,
     raises AssertionError and is never taken for a no.
 
     The search decides the rest, and answers yes as soon as it has linked t
-    segments."""
+    segments. A yes deletes z, so it is checked first: the t segments are
+    linked again into petals, which `validate_flower` inspects on g; a failed
+    check raises AssertionError."""
     if t <= 0:
         return True
     if not g.has_vertex(z) or len(s) < t or _petal_ends(g, s, z) < 2 * t:
         return False
-    _, rest, sources, pairs, _ = _setup(g, s, z)
+    g2, rest, sources, pairs, orig_eid = _setup(g, s, z)
     if gallai_blocker_or_packing(rest, sources, t - 1).packing is None:
         return False
-    return len(_search(bidirected(rest), sources, pairs, t)) >= t
+    d = bidirected(rest)
+    chosen = _search(d, sources, pairs, t)
+    if len(chosen) < t:
+        return False
+    petals = _reconstruct(g2, z, d, sources, chosen, orig_eid, set(g.vertices()))
+    validate_flower(g, s, Flower(z, petals))
+    return True
 
 
 def validate_flower(g: Multigraph, s: frozenset[int], fl: Flower) -> None:

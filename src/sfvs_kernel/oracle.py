@@ -31,25 +31,14 @@ def _unhit_pair(pairs, deleted):
 
 def _branch(g: Multigraph, s: frozenset[int], pairs, budget: int,
             deleted: set[int], avoid: frozenset[int]) -> Optional[set[int]]:
-    pair = _unhit_pair(pairs, deleted)
-    if pair is not None:
-        if budget == 0:
-            return None
-        for v in sorted(pair):
-            if v in avoid:
-                continue
-            deleted.add(v)
-            got = _branch(g, s, pairs, budget - 1, deleted, avoid)
-            if got is not None:
-                return got
-            deleted.remove(v)
-        return None
-    cycle = find_s_cycle(g, s, deleted)
-    if cycle is None:
+    """Branch on the first unhit pair, else on a shortest S-cycle of
+    g - deleted: one of its vertices outside `avoid` joins the solution."""
+    hit = _unhit_pair(pairs, deleted) or find_s_cycle(g, s, deleted)
+    if hit is None:
         return set(deleted)
     if budget == 0:
         return None
-    for v in sorted(set(cycle)):
+    for v in sorted(set(hit)):
         if v in avoid:
             continue
         deleted.add(v)

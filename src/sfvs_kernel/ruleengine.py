@@ -165,60 +165,44 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
                     z: int, k: int) -> frozenset[int]:
     """Vertices (outside V(S), inside partner territory) whose removal cuts
     every path between two z-adjacent leaves through the inner bubbles.
-    k+1 disjoint such paths would lift to a flower of order k+1 at z, which
-    rule 6 has already ruled out, so finding them raises AssertionError.
+
+    Gallai's A is the set of partner endpoints: the far ends q of the
+    z-adjacent leaves' S-edges whose far bubble is inner. An A-path in the
+    plain graph of those bubbles is exactly the inner part of a
+    leaf-to-leaf path. k+1 disjoint such paths would lift to a flower of
+    order k+1 at z, which rule 6 has already ruled out, so finding them
+    raises AssertionError. Blocker vertices on S-edges move to their bases,
+    which still cut every A-path: a q's only plain neighbour is its base.
     """
-    lz = [b for b in dec.leaves() if z in dec.yadj[b]]
-    if not lz:
-        return frozenset()
-    far_of: dict[int, tuple[int, int]] = {}
+    a: set[int] = set()
     inner_union: set[int] = set()
-    for leaf in lz:
-        (far, eid), = dec.adj[leaf].items()
-        u, v = g.endpoints(eid)
-        q = v if u in dec.bubbles[leaf] else u
-        far_of[leaf] = (eid, q)
-        if dec.degree(far) >= 2:
-            inner_union |= dec.bubbles[far]
-
-    fresh = max(g.vertices(), default=0) + 1
-    pid_of = {leaf: fresh + i for i, leaf in enumerate(sorted(lz))}
-    gz = Multigraph()
-    for v in sorted(inner_union):
-        gz.add_vertex(v)
-    for pid in pid_of.values():
-        gz.add_vertex(pid)
-    for eid in sorted(g.edges):
-        if eid in s or g.is_loop(eid):
+    for leaf in dec.leaves():
+        if z not in dec.yadj[leaf]:
             continue
-        u, v = g.endpoints(eid)
-        if u in inner_union and v in inner_union:
-            gz.add_edge(u, v)
-    for leaf in sorted(lz):
-        _, q = far_of[leaf]
-        if q in inner_union:
-            gz.add_edge(pid_of[leaf], q)
+        (far, eid), = dec.adj[leaf].items()
+        if dec.degree(far) >= 2:
+            u, v = g.endpoints(eid)
+            a.add(v if u in dec.bubbles[leaf] else u)
+            inner_union |= dec.bubbles[far]
+    if not a:
+        return frozenset()
+    gz = g.induced(inner_union)
+    for eid in gz.edges.keys() & s:
+        gz.remove_edge(eid)
 
-    res = gallai_blocker_or_packing(gz, set(pid_of.values()), k)
+    res = gallai_blocker_or_packing(gz, a, k)
     if res.packing is not None:
         raise AssertionError(f"k+1 leaf-to-leaf paths lift to a flower at {z}, "
                              "which rule 6 has ruled out")
-
-    q_of_pid = {pid: far_of[leaf][1] for leaf, pid in pid_of.items()}
-    out: set[int] = set()
-    for x in res.blocker:
-        if x in q_of_pid:
-            x = q_of_pid[x]
-        if any(e in s for e in g.incident(x)):
-            x = base_of(g, s, x)
-        out.add(x)
+    out = {base_of(g, s, x) if any(e in s for e in g.incident(x)) else x
+           for x in res.blocker}
 
     vs = {v for eid in s for v in g.endpoints(eid)}
     if not out <= inner_union - vs:
         raise AssertionError("blocker leaves the inner bubbles or touches V(S)")
     if len(out) > 2 * k:
         raise AssertionError("blocker exceeds 2k vertices")
-    if exists_apath(gz, set(pid_of.values()), out):
+    if exists_apath(gz, a, out):
         raise AssertionError(
             "replacement vertices must still block every leaf-to-leaf path")
     return frozenset(out)

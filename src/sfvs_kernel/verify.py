@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .generators import bubble_forest, gadget_suite, gnm
 from .multigraph import PairInstance
-from .oracle import feasible_z_greedy, solve_exact
+from .oracle import (MAX_EXACT_BUDGET, MAX_EXACT_VERTICES, feasible_z_greedy,
+                     solve_exact)
 from .pipeline import run_matroid, run_rules
 
 SOLVE_CAP = 60   # reduced outputs stay small; the default oracle cap is tighter
@@ -77,11 +78,15 @@ def _check_one(rep: SweepReport, tag: str, pinst: PairInstance,
 
 def run_sweep(trials: int = 200, seed: int = 0, n_max: int = 10,
               k_max: int = 3) -> SweepReport:
-    for name, value, least in (("trials", trials, 0), ("n_max", n_max, 4),
-                               ("k_max", k_max, 0)):
+    for name, value, least, most in (
+            ("trials", trials, 0, None),
+            ("n_max", n_max, 4, MAX_EXACT_VERTICES),
+            ("k_max", k_max, 0, MAX_EXACT_BUDGET)):
+        flag = f"{name} (--{name.replace('_', '-')})"
         if value < least:   # randint fails on an empty range; range() is silent
-            raise ValueError(f"{name} (--{name.replace('_', '-')}) must be "
-                             f"at least {least}, got {value}")
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        if most is not None and value > most:   # the exact solver's caps
+            raise ValueError(f"{flag} must be at most {most}, got {value}")
     rep = SweepReport()
 
     for gad in gadget_suite():

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import sfvs_kernel
-from sfvs_kernel import cli, ruleengine
+from sfvs_kernel import cli, ruleengine, verify
 from sfvs_kernel.cli import main
 from sfvs_kernel.instancefile import parse_instance, serialize_instance, write_instance
 from sfvs_kernel.generators import gnm, planted
 from sfvs_kernel.multigraph import Multigraph, PairInstance, normalize
-from sfvs_kernel.oracle import solve_exact
+from sfvs_kernel.oracle import MAX_EXACT_BUDGET, MAX_EXACT_VERTICES, solve_exact
 
 
 def gen_file(tmp_path, name="in.sfvs", **kw):
@@ -186,6 +186,27 @@ def test_verify_rejects_a_bad_range(flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err and "randrange" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value, cap", [
+    ("--n-max", "26", MAX_EXACT_VERTICES), ("--n-max", "30", MAX_EXACT_VERTICES),
+    ("--k-max", "7", MAX_EXACT_BUDGET), ("--k-max", "8", MAX_EXACT_BUDGET)])
+def test_verify_rejects_sizes_above_the_solver_caps_before_any_trial(
+        flag, value, cap, monkeypatch, capsys):
+    # the exact solver would refuse such an instance only once one is drawn
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verify, "_check_one", no_trial)
+    monkeypatch.setattr(verify, "gadget_suite", no_trial)
+    assert main(["verify", "--trials", "40", flag, value]) == 2
+    assert f"must be at most {cap}, got {value}" in capsys.readouterr().err
+
+
+def test_verify_accepts_the_solver_caps(capsys):
+    assert main(["verify", "--trials", "2", "--n-max", str(MAX_EXACT_VERTICES),
+                 "--k-max", str(MAX_EXACT_BUDGET)]) == 0
+    assert "failures: 0" in capsys.readouterr().out
 
 
 def test_usage_error(capsys):

@@ -34,6 +34,40 @@ def test_two_triangle_flower():
     assert has_flower_of_order(g, s, 1, 0)
 
 
+def two_triangles_and_a_far_segment():
+    """Triangles 1-2-3 and 1-4-5 with S-edges 1-2 and 1-4, and an S-edge
+    6-7 out of reach of 1: a flower of order 2 at 1 and one S-edge that is
+    in no petal."""
+    g = Multigraph.from_edges(range(1, 8), [(2, 3), (3, 1), (4, 5), (5, 1)])
+    s = frozenset(g.add_edge(u, v) for u, v in [(1, 2), (1, 4), (6, 7)])
+    return g, s
+
+
+def test_a_yes_from_unlinked_segments_raises(monkeypatch):
+    # the search claims a linked set that holds the far segment: the yes is
+    # rebuilt into petals before it is returned, and the rebuild fails
+    g, s = two_triangles_and_a_far_segment()
+    forged = lambda d, sources, pairs, target: [pairs[0], pairs[-1]]
+    monkeypatch.setattr(flowers, "_search", forged)
+    with pytest.raises(AssertionError, match="stay linked"):
+        has_flower_of_order(g, s, 1, 2)
+
+
+def test_a_yes_with_a_bad_petal_raises(monkeypatch):
+    # petals whose edges are rotated by one no longer trace their cycles
+    g, s = two_triangles_and_a_far_segment()
+    rebuild = flowers._reconstruct
+
+    def forged(*args):
+        return [flowers.Petal(p.vertices, p.edge_ids[1:] + p.edge_ids[:1])
+                for p in rebuild(*args)]
+
+    assert has_flower_of_order(g, s, 1, 2)
+    monkeypatch.setattr(flowers, "_reconstruct", forged)
+    with pytest.raises(AssertionError, match="trace the cycle"):
+        has_flower_of_order(g, s, 1, 2)
+
+
 def test_flower_at_absent_or_cycle_free_vertex():
     g = Multigraph()
     g.add_vertex(1)

@@ -12,8 +12,10 @@ from sfvs_kernel.generators import (_scripted, gadget_suite, gnm, leaf_fan,
                                     planted)
 from sfvs_kernel.instancefile import serialize_instance
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
-                                    has_s_cycle, normalize)
+                                    base_of, has_s_cycle, normalize)
 from sfvs_kernel.oracle import FeasibleZ, feasible_z_greedy, solve_exact
+from sfvs_kernel.pathpacking import (exists_apath, gallai_blocker_or_packing,
+                                     max_disjoint_apaths)
 from sfvs_kernel.pipeline import run_full, run_rules
 from sfvs_kernel.ruleengine import (Decomposition, cover_matching, decompose,
                                     finalize, reduce_pairs, uncovered_leaves)
@@ -462,6 +464,117 @@ def test_greedy_gnm_decisions_are_all_distinct(monkeypatch):
     # rule 6 is reached once, after one rule-2 step: nothing carries over
     assert rep.outcome == "reduced"
     assert len(decisions) == len(set(decisions)) == 9
+
+
+# -- blockers -----------------------------------------------------------------
+
+
+def pseudo_vertex_blocker(g, s, dec, z, k):
+    """Reference blocker on a pseudo-vertex graph: one new vertex per
+    z-adjacent leaf, joined to the leaf's partner endpoint q when q's bubble
+    is inner, and those new vertices are A in the plain graph of the inner
+    bubbles plus them. Returns that graph, its A, and the blocker with every
+    new vertex mapped to its q and every S-endpoint to its base."""
+    lz = sorted(b for b in dec.leaves() if z in dec.yadj[b])
+    fresh = max(g.vertices(), default=0) + 1
+    q_of, inner_union = {}, set()
+    for i, leaf in enumerate(lz):
+        (far, eid), = dec.adj[leaf].items()
+        u, v = g.endpoints(eid)
+        q_of[fresh + i] = v if u in dec.bubbles[leaf] else u
+        if dec.degree(far) >= 2:
+            inner_union |= dec.bubbles[far]
+    aux = Multigraph.from_edges(sorted(inner_union) + sorted(q_of), [])
+    for eid in sorted(g.edges):
+        u, v = g.endpoints(eid)
+        if eid not in s and u != v and {u, v} <= inner_union:
+            aux.add_edge(u, v)
+    for pid, q in q_of.items():
+        if q in inner_union:
+            aux.add_edge(pid, q)
+    res = gallai_blocker_or_packing(aux, set(q_of), k)
+    assert res.packing is None
+    out = set()
+    for x in res.blocker:
+        x = q_of.get(x, x)
+        out.add(base_of(g, s, x) if any(e in s for e in g.incident(x)) else x)
+    return aux, frozenset(q_of), frozenset(out)
+
+
+def compare_blockers(monkeypatch):
+    """Check every blocker `compute_blocker` returns against the
+    pseudo-vertex version: the graph and A it hands to Gallai's theorem
+    must have a maximum A-path packing as large as the pseudo-vertex
+    graph's, and its blocker must cut every A-path of that graph. Returns
+    the (new, old) blocker of every call."""
+    calls, handed = [], []
+    gallai, blocker = ruleengine.gallai_blocker_or_packing, ruleengine.compute_blocker
+
+    def spied(g, a, k):
+        handed.append((g, a))
+        return gallai(g, a, k)
+
+    def compared(g, s, dec, z, k):
+        handed.clear()
+        got = blocker(g, s, dec, z, k)
+        aux, pids, old = pseudo_vertex_blocker(g, s, dec, z, k)
+        packed = len(max_disjoint_apaths(*handed[0])) if handed else 0
+        assert packed == len(max_disjoint_apaths(aux, pids))
+        assert not exists_apath(aux, pids, got)
+        calls.append((got, old))
+        return got
+
+    monkeypatch.setattr(ruleengine, "gallai_blocker_or_packing", spied)
+    monkeypatch.setattr(ruleengine, "compute_blocker", compared)
+    return calls
+
+
+def test_blockers_match_the_pseudo_vertex_version(monkeypatch):
+    calls = compare_blockers(monkeypatch)
+    for _, pinst, provider, _ in sweep_instances(200, 0, 10, 3):
+        run_rules(pinst, provider=provider)
+    for leaves in range(3, 13):
+        for provider in (None, feasible_z_greedy):
+            run_rules(leaf_fan(leaves, 2), provider=provider)
+    for n in (300, 1000):
+        run_rules(planted(n, 3, 4, 11), provider=feasible_z_greedy)
+    rng = random.Random(5)
+    for i in range(60):
+        g, s = hub_cluster(rng, 2 + i % 2)
+        pinst = PairInstance(g, s, frozenset(), rng.randint(1, 4))
+        for provider in (None, feasible_z_greedy):
+            reduce_pairs(normalize(pinst).instance, provider=provider)
+    assert len(calls) > 250 and sum(1 for got, _ in calls if got) > 100
+
+
+def two_leaves_at_hub(inner_plain, inner_s, q1, q2):
+    """Hub 1 with leaves {2, 3} and {4, 5} whose S-edges 3-q1 and 5-q2 run
+    into inner bubbles made of the given plain edges and S-edges."""
+    g = Multigraph.from_edges([], [(1, 2), (2, 3), (1, 4), (4, 5)] + inner_plain)
+    s = {g.add_edge(u, v) for u, v in [(3, q1), (5, q2)] + inner_s}
+    return g, frozenset(s)
+
+
+@pytest.mark.parametrize("inner_plain, inner_s, q1, q2, want", [
+    # both partner endpoints hang off the base 6, so 6 must be cut
+    ([(6, 7), (6, 8)], [], 7, 8, {6}),
+    # the partner endpoints 7 and 10 lie in two inner bubbles that only
+    # the S-edge 8-11 joins: no leaf-to-leaf path runs through plain edges
+    ([(6, 7), (6, 8), (9, 10), (9, 11)], [(8, 11)], 7, 10, set()),
+])
+def test_blocker_by_hand(monkeypatch, inner_plain, inner_s, q1, q2, want):
+    calls = compare_blockers(monkeypatch)
+    g, s = two_leaves_at_hub(inner_plain, inner_s, q1, q2)
+    dec = decompose(g, s, frozenset([1]))
+    assert ruleengine.compute_blocker(g, s, dec, 1, 1) == want
+    assert calls == [(want, want)]
+
+
+def test_blocker_raises_on_k_plus_1_leaf_to_leaf_paths():
+    g, s = two_leaves_at_hub([(6, 7), (6, 8)], [], 7, 8)
+    dec = decompose(g, s, frozenset([1]))
+    with pytest.raises(AssertionError, match="flower"):
+        ruleengine.compute_blocker(g, s, dec, 1, 0)
 
 
 def mirrored_dumbbells() -> PairInstance:
