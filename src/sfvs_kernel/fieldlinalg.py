@@ -1,19 +1,23 @@
 """Exact linear algebra over the prime field F_p, p = 2^61 - 1.
 
-A FieldMatrix is a list of rows of ints in [0, p). Every elimination in the
-package (rref, rank, dualize, the representative-set filter) runs in an
-IncrementalBasis, which packs each of its rows, and each vector it reduces,
-into one Python int with a fixed-width slot per coordinate, so a row update
-is one multiply and one add of whole ints. Everything is deterministic:
-elimination always picks the first nonzero entry as pivot. The prime is large
-enough that every randomized construction in one pipeline run stays far below
-any noticeable failure probability, and small enough that Python int products
+Every elimination in the package (the gammoid's dual, the representative-set
+filter, rank checks) runs in an IncrementalBasis, which packs each of its
+rows, and each vector it reduces, into one Python int with a fixed-width slot
+per coordinate, so a row update is one multiply and one add of whole ints.
+The basis also writes the filter's wedge products and reads a dual off its
+reduced rows, both in that packed form. A FieldMatrix, a list of rows of ints
+in [0, p), is the plain-matrix view (rref, rank) on the same basis; the
+pipeline no longer builds one. Everything is deterministic: elimination
+always picks the first nonzero entry as pivot. The prime is large enough that
+every randomized construction in one pipeline run stays far below any
+noticeable failure probability, and small enough that Python int products
 stay cheap.
 """
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 PRIME = (1 << 61) - 1
@@ -70,60 +74,18 @@ class FieldMatrix:
         IncrementalBasis, then each row, bottom-up, is reduced against the
         rows below it. The form is unique, whatever the order of operations."""
         basis = _basis_of(self.rows)
-        rows = basis._rows
-        for i in reversed(range(len(rows))):
-            rows[i] = basis._reduce(rows[i], i + 1)
-        out = [basis._unpack(r) for r in rows]
-        out += [[0] * self.ncols for _ in range(self.nrows - len(rows))]
+        basis._back_substitute()
+        out = [basis._unpack(r) for r in basis._rows]
+        out += [[0] * self.ncols for _ in range(self.nrows - len(basis))]
         return FieldMatrix._wrap(out, self.ncols), list(basis._pivots)
 
     def rank(self) -> int:
         return len(_basis_of(self.rows))
 
 
-def dualize(m: FieldMatrix) -> FieldMatrix:
-    """Representation of the dual matroid, columns kept in their original order.
-
-    Brings m to [I | B] by row reduction (up to the column permutation induced
-    by the pivot positions) and returns [-B^T | I] with the permutation undone.
-    Requires full row rank.
-    """
-    red, pivots = m.rref()
-    if len(pivots) != m.nrows:
-        raise ValueError("matrix must have full row rank")
-    pivot_set = set(pivots)
-    non_pivots = [j for j in range(m.ncols) if j not in pivot_set]
-    out = FieldMatrix.zeros(len(non_pivots), m.ncols)
-    for i, q in enumerate(non_pivots):
-        out.rows[i][q] = 1
-        for j, p in enumerate(pivots):
-            out.rows[i][p] = (-red.rows[j][q]) % PRIME
-    return out
-
-
-def wedge3_coordinates(a: Sequence[int], b: Sequence[int],
-                       c: Sequence[int]) -> list[int]:
-    """Coordinates of a ^ b ^ c in the direct sum of two spaces: a and b of
-    length d1 in the first, c of length d2 in the second.
-
-    Index order: pairs {i < j} of first-space coordinates lexicographically,
-    coordinate l of c innermost. Output length is C(d1, 2) * d2.
-    """
-    if len(a) != len(b):
-        raise ValueError("a and b must have the same length")
-    out = []
-    for i in range(len(a)):
-        ai = a[i] % PRIME
-        bi = b[i] % PRIME
-        for j in range(i + 1, len(a)):
-            minor = (ai * b[j] - a[j] * bi) % PRIME
-            out += [minor * x % PRIME for x in c]
-    return out
-
-
 def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
-    """Whether a ^ b ^ c is nonzero, with the layout of wedge3_coordinates,
-    in O(d1 + d2) and without its coordinates.
+    """Whether a ^ b ^ c is nonzero, for a and b of length d1 and c of
+    length d2, in O(d1 + d2) and without its coordinates.
 
     The wedge vanishes exactly when c is zero or a and b are parallel. With
     a[i] the first nonzero entry of a, b is parallel to a iff every 2x2 minor
@@ -148,67 +110,167 @@ class IncrementalBasis:
     in the basis when it was added.
 
     Every stored row, and every vector being reduced, is one Python int. The
-    first vector's length n fixes a slot of w = 2*61 + bit_length(n) + 1
-    bits, rounded up to whole bytes, and coordinate j sits in slot n - 1 - j
-    counted from the least significant end; so a row with pivot c is below
-    2^((n - c) w). Reducing against a row with pivot c takes f = (that slot)
-    mod p and adds (p - f) * row: one multiply and one add of whole ints.
-    Slots are not reduced between updates, so they stay non-negative, and
-    none carries into the next: a slot starts below p, each update adds at
-    most (p - 1)^2 < 2^122 to it, and there are at most n updates (n - 1
-    when FieldMatrix.rref back-substitutes a stored row against the rows
-    after it), so it stays below 2^61 + n 2^122 < 2^(w - 1). After the last
-    update every slot is brought below p at once (see _canonical).
+    length n, fixed by the first vector or by the constructor, fixes a slot
+    of `width` bytes, w = 2*61 + bit_length(n) + 1 bits rounded up to whole
+    bytes, and coordinate j sits in slot n - 1 - j counted from the least
+    significant end; so a row with pivot c is below 2^((n - c) w). Reducing
+    against a row with pivot c takes f = (that slot) mod p and adds
+    (p - f) * row: one multiply and one add of whole ints. Slots are not
+    reduced between updates, so they stay non-negative, and none carries
+    into the next: a slot starts below p^2, each update adds at most
+    (p - 1)^2 < 2^122 to it, and there are at most n updates, so it stays
+    below (n + 1) 2^122 <= 2^(w - 1). After the last update every slot is
+    brought below p at once (see canonical).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ncols: Optional[int] = None) -> None:
+        """`ncols` fixes the length now, else the first vector does."""
         self._ncols: Optional[int] = None
         self._pivots: list[int] = []
         self._rows: list[int] = []
+        if ncols is not None:
+            self._layout(ncols)
+
+    @classmethod
+    def of_wedges(cls, d1: int, d2: int, terms: int = 0) -> "IncrementalBasis":
+        """An empty basis of length C(d1, 2) * d2 for the wedges a ^ b ^ c of
+        a and b of length d1 and c of length d2 (see wedge). Its slots also
+        hold a sum of `terms` products of two values below 2^61, and
+        canonical() also takes a and b packed at stride d2."""
+        basis = cls()
+        basis._layout(comb(d1, 2) * d2, max(d1 * d2, terms))
+        basis._d1, basis._d2 = d1, d2
+        return basis
+
+    def _layout(self, n: int, room: int = 0) -> None:
+        """Length n, with the slot width and canonical's masks sized for
+        max(n, room) slots."""
+        slots = max(n, room)
+        self._ncols = n
+        self.width = (2 * _BITS + slots.bit_length() + 1 + 7) // 8
+        self._bits = 8 * self.width
+        self._zero = bytes(self.width)
+        # 1, p and 2^(bits - 61) - 1 in every slot, for canonical
+        self._ones = int.from_bytes((1).to_bytes(self.width, "big") * slots, "big")
+        self._low = self._ones * PRIME
+        self._high = self._ones * ((1 << (self._bits - _BITS)) - 1)
 
     def __len__(self) -> int:
         return len(self._pivots)
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
-        return self._unpack(self._reduce(self._pack(vec)))
+        return self._unpack(self._reduce(self._vector(vec)))
 
     def add(self, vec: Sequence[int]) -> bool:
-        v = self._reduce(self._pack(vec))
+        return self.add_packed(self._vector(vec))
+
+    def add_packed(self, v: int) -> bool:
+        """add() for a vector packed in this basis's layout, every slot below
+        p^2 (as pack, pack_sparse and wedge give them)."""
+        v = self._reduce(v)
         if not v:
             return False
         top = (v.bit_length() - 1) // self._bits   # the first nonzero slot
         pivot = self._ncols - 1 - top
         i = bisect_left(self._pivots, pivot)
         self._pivots.insert(i, pivot)
-        self._rows.insert(i, self._canonical(v * inverse(v >> top * self._bits)))
+        self._rows.insert(i, self.canonical(v * inverse(v >> top * self._bits)))
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return not self._reduce(self._pack(vec))
+        return not self._reduce(self._vector(vec))
 
-    def _pack(self, vec: Sequence[int]) -> int:
-        """vec as one int, coordinates reduced mod p. The first vector fixes
-        the length and the slot layout; later ones must match it."""
+    def _vector(self, vec: Sequence[int]) -> int:
+        """vec packed. The first vector fixes the length and the slot layout,
+        unless the constructor did; later ones must match it."""
         n = len(vec)
         if self._ncols is None:
-            self._ncols = n
-            self._width = (2 * _BITS + n.bit_length() + 1 + 7) // 8
-            self._bits = 8 * self._width
-            self._zero = bytes(self._width)
-            # 1, p and 2^(bits - 61) - 1 in every slot, for _canonical
-            self._ones = int.from_bytes((1).to_bytes(self._width, "big") * n, "big")
-            self._low = self._ones * PRIME
-            self._high = self._ones * ((1 << (self._bits - _BITS)) - 1)
+            self._layout(n)
         elif n != self._ncols:
             raise ValueError(f"vector of length {n} in a basis of length {self._ncols}")
-        w, zero = self._width, self._zero
+        return self.pack(vec)
+
+    def pack(self, vec: Sequence[int], stride: int = 1) -> int:
+        """vec as one int, coordinates reduced mod p, coordinate j in slot
+        (len(vec) - 1 - j) * stride and zeros between."""
+        w = self.width
+        pad = bytes((stride - 1) * w)
+        zero = pad + self._zero
         return int.from_bytes(b"".join(
-            [(x % PRIME).to_bytes(w, "big") if x else zero for x in vec]), "big")
+            [pad + (x % PRIME).to_bytes(w, "big") if x else zero for x in vec]),
+            "big")
+
+    def pack_sparse(self, entries: Iterable[tuple[int, int]]) -> int:
+        """The vector of this basis's length with x % p at coordinate j for
+        each (j, x) of entries, and zeros elsewhere."""
+        w = self.width
+        buf = bytearray(w * self._ncols)
+        for j, x in entries:
+            buf[j * w:(j + 1) * w] = (x % PRIME).to_bytes(w, "big")
+        return int.from_bytes(buf, "big")
+
+    def wedge(self, a: int, b: int, c: int) -> int:
+        """a ^ b ^ c packed, with a and b packed at stride d2 and c packed,
+        all slots below p, for a basis made by of_wedges(d1, d2). Slots come
+        out below p^2. Coordinates: pairs {i < j} of a's coordinates
+        lexicographically, coordinate l of c innermost, so the wedge is the
+        column of 2x2 minors a_i b_j - a_j b_i tensored with c.
+
+        With A_{>i} and B_{>i} the parts of a and b after coordinate i, still
+        at stride d2, row i's block of minors is a_i B_{>i} + (p - b_i) A_{>i}
+        (slots below 2p^2). The blocks are joined as bytes, row 0 first,
+        brought below p by one canonical pass, and one product with c puts
+        m c_l in the l-th of each minor m's d2 slots.
+        """
+        if not self._ncols:
+            return 0
+        d1, w = self._d1, self.width
+        step = self._d2 * w                 # bytes per coordinate of a
+        size = d1 * step
+        abuf = memoryview(a.to_bytes(size, "big"))
+        bbuf = memoryview(b.to_bytes(size, "big"))
+        blocks = []
+        for lo in range(step, size, step):  # coordinate i ends at lo
+            ai = int.from_bytes(abuf[lo - w:lo], "big")
+            bi = int.from_bytes(bbuf[lo - w:lo], "big")
+            if ai or bi:
+                block = (ai * int.from_bytes(bbuf[lo:], "big")
+                         + (PRIME - bi) * int.from_bytes(abuf[lo:], "big"))
+                blocks.append(block.to_bytes(size - lo, "big"))
+            else:
+                blocks.append(bytes(size - lo))
+        return self.canonical(int.from_bytes(b"".join(blocks), "big")) * c
+
+    def dual_columns(self) -> list[list[int]]:
+        """The columns of a matrix whose rows are a basis of the vectors
+        orthogonal to every stored row: the dual matroid's representation
+        when the rows added were those of a full-row-rank matrix.
+
+        The stored rows are first brought to reduced row echelon form. Then
+        free column q_i (no pivot there) is the unit vector e_i, and pivot
+        column c of row r is minus r's entries at the free columns.
+        """
+        self._back_substitute()
+        pivots = set(self._pivots)
+        free = [q for q in range(self._ncols) if q not in pivots]
+        cols: list[list[int]] = [[0] * len(free) for _ in range(self._ncols)]
+        for i, q in enumerate(free):
+            cols[q][i] = 1
+        for c, row in zip(self._pivots, self._rows):
+            entries = self._unpack(row)
+            cols[c] = [(PRIME - entries[q]) % PRIME for q in free]
+        return cols
+
+    def _back_substitute(self) -> None:
+        """Reduce each stored row, bottom-up, against the rows below it."""
+        rows = self._rows
+        for i in reversed(range(len(rows))):
+            rows[i] = self._reduce(rows[i], i + 1)
 
     def _unpack(self, v: int) -> list[int]:
         """The coordinates of v, slots below p < 2^64: 8 strided slices gather
         each slot's low 8 bytes, read at once as big-endian words."""
-        w, n = self._width, self._ncols
+        w, n = self.width, self._ncols
         buf, low = v.to_bytes(w * n, "big"), bytearray(8 * n)
         for k in range(8):
             low[k::8] = buf[w - 8 + k::w]
@@ -222,22 +284,21 @@ class IncrementalBasis:
             f = ((v >> (last - col) * bits) & slot) % PRIME
             if f:
                 v += (PRIME - f) * row
-        return self._canonical(v)
+        return self.canonical(v)
 
-    def _canonical(self, v: int) -> int:
-        """v with every slot reduced mod p, all slots at once.
+    def canonical(self, v: int) -> int:
+        """v with every slot reduced mod p, all slots at once; each slot of v
+        must fit its w bits.
 
-        p = 2^61 - 1, so s = 2^61 h + l is congruent to h + l: folding each
-        slot's bits above 61 onto its low 61 bits until none are left leaves
-        every slot in [0, p], and the slots equal to p, found as those where
-        adding 1 reaches bit 61, are cleared.
+        p = 2^61 - 1, so s = 2^61 h + l is congruent to h + l. Folding each
+        slot's bits above 61 onto its low 61 bits twice leaves it below
+        2^61 + 2^(w - 122) + 1, which is below 2p for every w up to 182 bits
+        (every layout of fewer than 2^53 slots). The slots at or above p,
+        found as those where adding 1 reaches bit 61, then lose p.
         """
         ones, low, high = self._ones, self._low, self._high
-        while True:
-            h = (v >> _BITS) & high
-            if not h:
-                break
-            v = (v & low) + h
+        v = (v & low) + ((v >> _BITS) & high)
+        v = (v & low) + ((v >> _BITS) & high)
         return v - (((v + ones) >> _BITS) & ones) * PRIME
 
 

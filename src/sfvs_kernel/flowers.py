@@ -20,9 +20,10 @@ segments as z has neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional
 
-# no caller here: kept because perfbench/layers.py probes flowers.represent
+# no caller here: kept because perfbench/layers.py probes flowers.linked and
+# flowers.represent
 from .gammoid import Digraph, bidirected, disjoint_paths, linked, represent
 from .multigraph import Multigraph
 from .pathpacking import gallai_blocker_or_packing
@@ -68,22 +69,32 @@ def _subdivide_all(g: Multigraph, s: frozenset[int]):
 
 
 def _search(d: Digraph, sources: list[int], pairs: list[tuple[int, int]],
-            target: Optional[int]) -> list[tuple[int, int]]:
+            target: Optional[int]
+            ) -> tuple[list[tuple[int, int]], list[list[Hashable]]]:
     """Exact max parity-independent set of segment pairs, cut off early once
-    `target` many are found. A set of c pairs needs 2c sources, so no branch
+    `target` many are found, with the disjoint paths that link its segment
+    ends to the sources. A set of c pairs needs 2c sources, so no branch
     grows past len(sources) // 2; the pairs returned do not depend on that."""
     src = set(sources)
     cap = len(sources) // 2
     best: list[tuple[int, int]] = []
+    best_paths: list[list[Hashable]] = []
+    last: list[list[Hashable]] = []     # the paths of the last linked set
 
     def feasible(chosen) -> bool:
+        nonlocal last
         t = {v for pq in chosen for v in pq}
-        return linked(d, src, t)
+        paths = disjoint_paths(d, src, t, cutoff=len(t))
+        if len(paths) < len(t):
+            return False
+        last = paths
+        return True
 
     def dfs(i: int, chosen: list[tuple[int, int]]) -> bool:
-        nonlocal best
+        nonlocal best, best_paths
         if len(chosen) > len(best):
-            best = list(chosen)
+            # chosen grew by one pair that feasible() has just linked
+            best, best_paths = list(chosen), last
             if target is not None and len(best) >= target:
                 return True
         for j in range(i, len(pairs)):
@@ -96,7 +107,7 @@ def _search(d: Digraph, sources: list[int], pairs: list[tuple[int, int]],
         return False
 
     dfs(0, [])
-    return best
+    return best, best_paths
 
 
 def _lift_cycle(g2_cycle: list[int], g2_edges: list[int],
@@ -112,14 +123,14 @@ def _lift_cycle(g2_cycle: list[int], g2_edges: list[int],
     return Petal(tuple(verts), tuple(eids))
 
 
-def _reconstruct(g2: Multigraph, z: int, d: Digraph, sources: list[int],
-                 chosen: list[tuple[int, int]], orig_eid: dict[int, int],
+def _reconstruct(g2: Multigraph, z: int, chosen: list[tuple[int, int]],
+                 paths: list[list[Hashable]], orig_eid: dict[int, int],
                  original: set[int]) -> list[Petal]:
-    targets = {v for pq in chosen for v in pq}
-    paths = disjoint_paths(d, sources, targets, cutoff=len(targets))
-    if len(paths) != len(targets):
-        raise AssertionError("chosen segments must stay linked")
+    """The petals of the chosen segments, from the disjoint paths that link
+    their ends to the neighbours of z."""
     path_to = {p[-1]: p for p in paths}
+    if set(path_to) != {v for pq in chosen for v in pq}:
+        raise AssertionError("chosen segments must stay linked")
 
     def edge_between(a: int, b: int) -> int:
         cands = [e for e in g2.edges_between(a, b) if not g2.is_loop(e)]
@@ -167,9 +178,8 @@ def max_flower(g: Multigraph, s: frozenset[int], z: int) -> Flower:
     if not g.has_vertex(z) or not s:
         return Flower(z, [])
     g2, rest, sources, pairs, orig_eid = _setup(g, s, z)
-    d = bidirected(rest)
-    chosen = _search(d, sources, pairs, None)
-    petals = _reconstruct(g2, z, d, sources, chosen, orig_eid, set(g.vertices()))
+    chosen, paths = _search(bidirected(rest), sources, pairs, None)
+    petals = _reconstruct(g2, z, chosen, paths, orig_eid, set(g.vertices()))
     return Flower(z, petals)
 
 
@@ -187,8 +197,8 @@ def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int,
     raises AssertionError and is never taken for a no.
 
     The search decides the rest, and answers yes as soon as it has linked t
-    segments. A yes deletes z, so it is checked first: the t segments are
-    linked again into petals, which `validate_flower` inspects on g; a failed
+    segments. A yes deletes z, so it is checked first: the paths of that
+    last flow become petals, which `validate_flower` inspects on g; a failed
     check raises AssertionError."""
     if t <= 0:
         return True
@@ -197,11 +207,10 @@ def has_flower_of_order(g: Multigraph, s: frozenset[int], z: int,
     g2, rest, sources, pairs, orig_eid = _setup(g, s, z)
     if gallai_blocker_or_packing(rest, sources, t - 1).packing is None:
         return False
-    d = bidirected(rest)
-    chosen = _search(d, sources, pairs, t)
+    chosen, paths = _search(bidirected(rest), sources, pairs, t)
     if len(chosen) < t:
         return False
-    petals = _reconstruct(g2, z, d, sources, chosen, orig_eid, set(g.vertices()))
+    petals = _reconstruct(g2, z, chosen, paths, orig_eid, set(g.vertices()))
     validate_flower(g, s, Flower(z, petals))
     return True
 

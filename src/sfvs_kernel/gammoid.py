@@ -10,7 +10,7 @@ The representation goes through the classical dual-of-transversal
 construction: build the bipartite link graph (arc (u, w) gives an edge from u
 to the copy of w; every non-source also gets an edge to its own copy), fill a
 random matrix over F_p on its support, and dualize. One row reduction of that
-matrix gives both its full-rank test and the dual.
+matrix, in packed rows, gives both its full-rank test and the dual.
 
 Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
 added to the digraph: add_sink_copies appends them as random combinations of
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .fieldlinalg import PRIME, FieldMatrix, IncrementalBasis, dualize
+from .fieldlinalg import PRIME, IncrementalBasis
 from .multigraph import Multigraph
 
 
@@ -162,25 +162,45 @@ class MatroidRep:
 def represent(d: Digraph, sources: Iterable[Hashable],
               ground: Sequence[Hashable], rng: random.Random) -> MatroidRep:
     """Random representation of the gammoid on `ground`; sound with probability
-    1 - O(poly/p) over the rng draws."""
+    1 - O(poly/p) over the rng draws.
+
+    The transversal matrix has a row per non-source w, with random nonzero
+    entries at w's own column and its in-neighbours' columns, drawn row by
+    row in vertex order and, within a row, in column order. Each row is
+    packed straight from those entries into an IncrementalBasis, and the
+    dual's columns are read off its reduced rows. The basis holds the
+    columns in ascending order of their number of entries, which keeps the
+    rows sparse for longer; another order gives another basis of the same
+    null space, columns changed by one invertible matrix, which represents
+    the same matroid.
+    """
     sources = set(sources)
     if not sources <= d.index.keys() or not set(ground) <= d.index.keys():
         raise ValueError("sources and ground must be vertices of the digraph")
-    non_sources = [i for i, v in enumerate(d.vertices) if v not in sources]
-    row_of = {v: r for r, v in enumerate(non_sources)}
-    support = {(r, v) for r, v in enumerate(non_sources)}
-    support |= {(row_of[w], u) for u, ws in enumerate(d.succ)
-                for w in ws if w in row_of}
+    n = len(d.vertices)
+    support = {w: {w} for w, v in enumerate(d.vertices) if v not in sources}
+    for u, ws in enumerate(d.succ):
+        for w in ws:
+            if w in support:
+                support[w].add(u)
+    rows = [sorted(cols) for cols in support.values()]
+    degree = [0] * n
+    for cols in rows:
+        for u in cols:
+            degree[u] += 1
+    slot = [0] * n
+    for q, u in enumerate(sorted(range(n), key=degree.__getitem__)):
+        slot[u] = q
 
     for _ in range(4):
-        mat = FieldMatrix.zeros(len(non_sources), len(d.vertices))
-        for i, j in sorted(support):
-            mat.rows[i][j] = rng.randrange(1, PRIME)
-        try:
-            dual = dualize(mat)
-        except ValueError:      # not of full row rank: draw again
+        basis = IncrementalBasis(n)
+        for cols in rows:
+            basis.add_packed(basis.pack_sparse(
+                [(slot[u], rng.randrange(1, PRIME)) for u in cols]))
+        if len(basis) < len(rows):      # not of full row rank: draw again
             continue
-        return MatroidRep({g: dual.column(d.index[g]) for g in ground})
+        dual = basis.dual_columns()
+        return MatroidRep({g: dual[slot[d.index[g]]] for g in ground})
     raise AssertionError("transversal matrix failed to reach full row rank")
 
 

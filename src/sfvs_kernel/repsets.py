@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import random
 from math import comb
+from operator import mul
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .fieldlinalg import (PRIME, IncrementalBasis, wedge3_coordinates,
-                          wedge3_nonzero)
+from .fieldlinalg import PRIME, IncrementalBasis, wedge3_nonzero
 
 Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
@@ -50,9 +50,7 @@ def representative_triples(columns: Mapping[Hashable, Sequence[int]],
     first two labels of a triple must name vectors of length d1 and the third
     a vector of length d2. Triples with a zero or dependent wedge are dropped.
     """
-    vec = {x: [e % PRIME for e in columns[x]]
-           for x in dict.fromkeys(x for t in triples for x in t)}
-    cols = [(vec[a], vec[b], vec[c]) for a, b, c in triples]
+    cols = [(columns[a], columns[b], columns[c]) for a, b, c in triples]
     if any((len(a), len(b), len(c)) != (d1, d1, d2) for a, b, c in cols):
         raise ValueError("a triple's vectors must have lengths d1, d1 and d2")
     dim = comb(d1, 2) * d2
@@ -71,40 +69,37 @@ def _independent(cols: list[Columns]) -> bool:
     projected wedges (Ua)^(Ub)^c are, for one random r x d1 matrix U with the
     least r such that C(r,2)*d2 >= len(cols), at most d1. False means the
     projected wedges were dependent, which independent wedges give by chance
-    or when many of them share a factor. Entries must lie in [0, p)."""
+    or when many of them share a factor."""
     m = len(cols)
     if not m:
         return True
     d1, d2 = len(cols[0][0]), len(cols[0][2])
     r = next((r for r in range(2, d1) if comb(r, 2) * d2 >= m), d1)
-    project = _random_projector(random.Random(_SKETCH_SEED), d1, r)
-    basis = IncrementalBasis()
-    return all(basis.add(wedge3_coordinates(project(a), project(b), c))
+    basis = IncrementalBasis.of_wedges(r, d2, terms=d1)
+    project = _random_projector(random.Random(_SKETCH_SEED), d1, r, d2, basis)
+    return all(basis.add_packed(basis.wedge(project(a), project(b),
+                                            basis.pack(c)))
                for a, b, c in cols)
 
 
-def _random_projector(rng: random.Random, dim: int, count: int
-                      ) -> Callable[[Sequence[int]], list[int]]:
-    """The map v -> [f . v for f in F] for `count` random functionals F on
-    vectors of length `dim` with entries in [0, p).
+def _random_projector(rng: random.Random, dim: int, count: int, stride: int,
+                      basis: IncrementalBasis
+                      ) -> Callable[[Sequence[int]], int]:
+    """The map v -> U v for a random count x dim matrix U, its image packed
+    by `basis` at `stride`, slots below p. Entries of v may be any ints.
 
-    Kronecker substitution: coordinate j of every functional lives in one
-    int, a slot of `width` bytes per functional holding a random value below
-    2^61, with room above it so that no dot product carries into the next
-    slot. One combination of these ints holds all the dot products at once,
-    unreduced, and drawing a coordinate is one draw of random bytes.
+    Kronecker substitution: column j of U is packed once, its entries random
+    values below 2^61, so the sum of v_j times those ints holds all count
+    dot products at once, one per slot. The basis's slots must fit dim
+    products of two values below 2^61, so none carries into the next.
     """
-    width = (2 * PRIME.bit_length() + dim.bit_length() + 7) // 8
-    size = width * count
-    slot = (1 << PRIME.bit_length()) - 1
-    mask = int.from_bytes(slot.to_bytes(width, "little") * count, "little")
-    packed = [int.from_bytes(rng.randbytes(size), "little") & mask
+    packed = [basis.pack([rng.getrandbits(61) for _ in range(count)], stride)
               for _ in range(dim)]
 
-    def project(v: Sequence[int]) -> list[int]:
-        buf = sum(p * x for p, x in zip(packed, v) if x).to_bytes(size, "little")
-        return [int.from_bytes(buf[i:i + width], "little")
-                for i in range(0, size, width)]
+    def project(v: Sequence[int]) -> int:
+        if v and (min(v) < 0 or max(v) >= PRIME):
+            v = [x % PRIME for x in v]
+        return basis.canonical(sum(map(mul, packed, v)))
     return project
 
 
@@ -112,6 +107,15 @@ def _eliminate(cols: list[Columns], dim: int) -> list[int]:
     """The streaming filter: indices of the cols whose wedge is independent
     of the wedges kept before it. Once `dim` wedges are kept they span the
     wedge space, so every later one is dependent and none is written out."""
-    basis = IncrementalBasis()
-    return [i for i, (a, b, c) in enumerate(cols)
-            if len(basis) < dim and basis.add(wedge3_coordinates(a, b, c))]
+    if not cols:
+        return []
+    d1, d2 = len(cols[0][0]), len(cols[0][2])
+    basis = IncrementalBasis.of_wedges(d1, d2)
+    kept = []
+    for i, (a, b, c) in enumerate(cols):
+        if len(basis) == dim:
+            break
+        if basis.add_packed(basis.wedge(basis.pack(a, d2), basis.pack(b, d2),
+                                        basis.pack(c))):
+            kept.append(i)
+    return kept

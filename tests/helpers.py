@@ -223,3 +223,42 @@ def hub_instance(rng, z=0):
         if rng.random() < 0.4:
             s.add(e)
     return g, frozenset(s)
+
+
+def dualize(m):
+    """Representation of the dual matroid of a full-row-rank FieldMatrix,
+    columns kept in their original order: m brought to [I | B] by row
+    reduction (up to the column permutation of its pivots), and [-B^T | I]
+    returned with the permutation undone."""
+    from sfvs_kernel.fieldlinalg import PRIME, FieldMatrix
+
+    red, pivots = m.rref()
+    if len(pivots) != m.nrows:
+        raise ValueError("matrix must have full row rank")
+    pivot_set = set(pivots)
+    non_pivots = [j for j in range(m.ncols) if j not in pivot_set]
+    out = FieldMatrix.zeros(len(non_pivots), m.ncols)
+    for i, q in enumerate(non_pivots):
+        out.rows[i][q] = 1
+        for j, p in enumerate(pivots):
+            out.rows[i][p] = (-red.rows[j][q]) % PRIME
+    return out
+
+
+def wedge3_coordinates(a, b, c):
+    """Coordinates of a ^ b ^ c, one by one: a and b of length d1 in the
+    first space, c of length d2 in the second. Pairs {i < j} of first-space
+    coordinates lexicographically, coordinate l of c innermost; length
+    C(d1, 2) * d2. The reference for IncrementalBasis.wedge."""
+    from sfvs_kernel.fieldlinalg import PRIME
+
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same length")
+    out = []
+    for i in range(len(a)):
+        ai = a[i] % PRIME
+        bi = b[i] % PRIME
+        for j in range(i + 1, len(a)):
+            minor = (ai * b[j] - a[j] * bi) % PRIME
+            out += [minor * x % PRIME for x in c]
+    return out

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matroid_wide
+from helpers import dualize, matroid_wide, wedge3_coordinates
 from sfvs_kernel import gammoid
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
-                                     dualize, inverse, wedge3_coordinates)
+                                     inverse)
 from sfvs_kernel.skernel import kernelize_by_s
 
 
@@ -163,6 +163,86 @@ def test_wedge_matches_rank_semantics():
                                                   [0] * d1 + c)], 3)
         w = wedge3_coordinates(a, b, c)
         assert (m.rank() == 3) == any(w)
+
+
+def packed_wedge(a, b, c):
+    """IncrementalBasis.wedge on the lists a, b and c, and its basis."""
+    d1, d2 = len(a), len(c)
+    basis = IncrementalBasis.of_wedges(d1, d2)
+    stride = max(d2, 1)     # at d2 = 0 there is no coordinate to write
+    return basis, basis.wedge(basis.pack(a, stride), basis.pack(b, stride),
+                              basis.pack(c))
+
+
+WEDGE_KINDS = ("random", "unreduced", "negative", "zero a", "zero b",
+               "parallel", "zero c", "sparse")
+
+
+def wedge_inputs(rng, d1, d2, kind):
+    def vec(n):
+        return [rng.randrange(PRIME) for _ in range(n)]
+
+    a, b, c = vec(d1), vec(d1), vec(d2)
+    if kind == "unreduced":
+        a = [x + PRIME * rng.randint(1, 40) for x in a]
+        c = [x + (PRIME << 70) for x in c]
+    elif kind == "negative":
+        a, b = [-x for x in a], [x - PRIME * rng.randint(1, 3) for x in b]
+    elif kind == "zero a":
+        a = [0] * d1
+    elif kind == "zero b":
+        b = [rng.choice((0, PRIME, -PRIME)) for _ in range(d1)]
+    elif kind == "parallel":
+        lam = rng.randrange(PRIME)
+        b = [lam * x - PRIME for x in a]
+    elif kind == "zero c":
+        c = [0] * d2
+    elif kind == "sparse":
+        a = [x if rng.random() < 0.2 else 0 for x in a]
+        b = [x if rng.random() < 0.2 else 0 for x in b]
+        c = [x if rng.random() < 0.5 else 0 for x in c]
+    return a, b, c
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 2), (1, 3), (2, 0), (6, 0), (2, 1),
+                                    (3, 2), (5, 3), (8, 1), (8, 3), (40, 3),
+                                    (47, 2)])
+def test_packed_wedge_matches_the_coordinates(d1, d2):
+    """Slots come out below p^2, and brought below p they are the packed
+    coordinates, for r <= 8 like the certificate and d1 >= 40 like the
+    exact filter on a large S."""
+    rng = random.Random(d1 * 10 + d2)
+    for kind in WEDGE_KINDS:
+        for _ in range(3):
+            a, b, c = wedge_inputs(rng, d1, d2, kind)
+            want = wedge3_coordinates(a, b, c)
+            basis, w = packed_wedge(a, b, c)
+            assert w < 1 << (8 * basis.width * len(want))
+            assert all(x < PRIME ** 2 for x in unpack_wide(basis, w))
+            assert basis.canonical(w) == basis.pack(want)
+            assert basis._unpack(basis.canonical(w)) == want
+            if kind in ("zero a", "zero b", "parallel", "zero c"):
+                assert not any(want)
+
+
+def unpack_wide(basis, v):
+    """Every slot of v, of any size below 2^(8 width)."""
+    w, n = basis.width, basis._ncols
+    buf = v.to_bytes(w * n, "big")
+    return [int.from_bytes(buf[i:i + w], "big") for i in range(0, w * n, w)]
+
+
+def test_packed_wedge_takes_the_largest_minors():
+    """a_i = p - 1 and b_j = p - 1 with a_j = 1 and b_i = 0: every block slot
+    reaches (p - 1)^2 + p before the canonical pass."""
+    for d1, d2 in ((3, 1), (9, 2), (41, 3)):
+        a = [PRIME - 1] * d1
+        b = [PRIME - 1] * d1
+        b[0] = 0
+        a[1:] = [1] * (d1 - 1)
+        c = [PRIME - 1] * d2
+        basis, w = packed_wedge(a, b, c)
+        assert basis.canonical(w) == basis.pack(wedge3_coordinates(a, b, c))
 
 
 # -- incremental basis --------------------------------------------------------
@@ -319,18 +399,85 @@ def assert_rref_matches_ref(m):
 
 
 def test_packed_rref_on_the_matroid_wide_transversal_matrix(monkeypatch):
-    """The matrix gammoid.represent hands to dualize for matroid_wide(90)."""
-    seen = []
+    """The matrix gammoid.represent eliminates for matroid_wide(90), in the
+    column order of its basis: the reduced rows and pivots it reaches and
+    the dual it reads off them, against ref_rref and ref_dual."""
+    rows, seen = {}, []
+    pack_sparse = IncrementalBasis.pack_sparse
+    dual_columns = IncrementalBasis.dual_columns
 
-    def spy(m):
-        seen.append(m)
-        return dualize(m)
+    def spy_pack(self, entries):
+        entries = list(entries)
+        row = [0] * self._ncols
+        for j, x in entries:
+            row[j] = x
+        rows.setdefault(id(self), []).append(row)
+        return pack_sparse(self, entries)
 
-    monkeypatch.setattr(gammoid, "dualize", spy)
+    def spy_dual(self):
+        cols = dual_columns(self)
+        seen.append((FieldMatrix(rows[id(self)], self._ncols), self, cols))
+        return cols
+
+    monkeypatch.setattr(IncrementalBasis, "pack_sparse", spy_pack)
+    monkeypatch.setattr(IncrementalBasis, "dual_columns", spy_dual)
     kernelize_by_s(matroid_wide(90).drop_pairs(), seed=0)
-    assert seen and all(m.nrows >= 40 and m.ncols > m.nrows for m in seen)
-    for m in seen:
+    assert seen and all(m.nrows >= 40 and m.ncols > m.nrows for m, _, _ in seen)
+    for m, basis, cols in seen:
         assert len(assert_rref_matches_ref(m)) == m.nrows
+        want_rows, want_pivots = ref_rref(m.rows, m.ncols)
+        assert basis._pivots == want_pivots
+        assert [basis._unpack(row) for row in basis._rows] == want_rows
+        assert [list(r) for r in zip(*cols)] == ref_dual(m.rows, m.ncols)
+
+
+def transversal_rows(d, sources, rng):
+    """gammoid.represent's matrix as first written: a row per non-source
+    and a column per vertex, random nonzero entries at the row's own column
+    and its in-neighbours' columns, drawn in sorted (row, column) order."""
+    non_sources = [i for i, v in enumerate(d.vertices) if v not in sources]
+    row_of = {v: r for r, v in enumerate(non_sources)}
+    support = {(r, v) for r, v in enumerate(non_sources)}
+    support |= {(row_of[w], u) for u, ws in enumerate(d.succ)
+                for w in ws if w in row_of}
+    rows = [[0] * len(d.vertices) for _ in non_sources]
+    for i, j in sorted(support):
+        rows[i][j] = rng.randrange(1, PRIME)
+    return rows
+
+
+def same_row_space(x, y, ncols):
+    rank = FieldMatrix(x, ncols).rank()
+    return rank == FieldMatrix(y, ncols).rank() == FieldMatrix(x + y, ncols).rank()
+
+
+def test_represent_spans_the_reference_dual():
+    """represent's columns, as rows over the vertices, span what ref_dual
+    spans for the same matrix drawn from the same rng state, and represent
+    draws exactly that matrix's entries."""
+    rng = random.Random(31)
+    digraphs = []
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        arcs = {(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 3 * n))} if n else set()
+        d = gammoid.Digraph.build(range(n), arcs)
+        digraphs.append((d, rng.sample(range(n), rng.randint(0, n))))
+    wide = matroid_wide(90)
+    d = gammoid.bidirected(wide.graph, skip_edges=wide.s)
+    digraphs.append((d, sorted({v for e in wide.s for v in wide.graph.endpoints(e)})))
+    for d, sources in digraphs:
+        state = rng.getstate()
+        rep = gammoid.represent(d, sources, d.vertices, rng)
+        drawn = rng.getstate()
+        rng.setstate(state)
+        m = transversal_rows(d, set(sources), rng)
+        assert rng.getstate() == drawn
+        n = len(d.vertices)
+        got = [list(r) for r in zip(*(rep.columns[v] for v in d.vertices))]
+        want = ref_dual(m, n)
+        assert all(len(col) == len(set(sources)) for col in rep.columns.values())
+        assert same_row_space(got, want, n), (n, sources)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -44,10 +44,16 @@ def two_triangles_and_a_far_segment():
 
 
 def test_a_yes_from_unlinked_segments_raises(monkeypatch):
-    # the search claims a linked set that holds the far segment: the yes is
-    # rebuilt into petals before it is returned, and the rebuild fails
+    # the search claims a linked set that holds the far segment, with the
+    # paths of one flow to all four segment ends: the yes is rebuilt into
+    # petals before it is returned, and the rebuild fails
     g, s = two_triangles_and_a_far_segment()
-    forged = lambda d, sources, pairs, target: [pairs[0], pairs[-1]]
+
+    def forged(d, sources, pairs, target):
+        ends = set(pairs[0] + pairs[-1])
+        return [pairs[0], pairs[-1]], flowers.disjoint_paths(d, sources, ends,
+                                                              len(ends))
+
     monkeypatch.setattr(flowers, "_search", forged)
     with pytest.raises(AssertionError, match="stay linked"):
         has_flower_of_order(g, s, 1, 2)
@@ -156,19 +162,19 @@ def test_too_few_petal_ends_answer_no_without_search(monkeypatch):
 
 def test_hub_flowers_match_brute_force(monkeypatch):
     searches = []
-    search, link = flowers._search, flowers.linked
+    search, link = flowers._search, flowers.disjoint_paths
 
     def counted(*args):
         searches.append(args)
         return search(*args)
 
-    def capped(d, sources, targets):
+    def capped(d, sources, targets, cutoff):
         # the search never asks for more petal ends than z has neighbours
         assert len(targets) <= len(sources)
-        return link(d, sources, targets)
+        return link(d, sources, targets, cutoff)
 
     monkeypatch.setattr(flowers, "_search", counted)
-    monkeypatch.setattr(flowers, "linked", capped)
+    monkeypatch.setattr(flowers, "disjoint_paths", capped)
     rng = random.Random(13)
     for _ in range(60):
         g, s = hub_instance(rng)
@@ -202,15 +208,15 @@ def test_greedy_ladder_flower_decisions_need_no_search(monkeypatch):
 
 
 def test_greedy_ladder_yes_decisions_link_one_set_per_petal(monkeypatch):
-    # the search settles each "yes" on its first branch: one `linked` call
-    # per segment added, t in all
+    # the search settles each "yes" on its first branch: one flow per
+    # segment added, t in all, and the petals come from the last of them
     calls = []
     decisions = []
-    decide, link = ruleengine.has_flower_of_order, flowers.linked
+    decide, link = ruleengine.has_flower_of_order, flowers.disjoint_paths
 
-    def counted_link(*args):
+    def counted_link(*args, **kwargs):
         calls.append(args)
-        return link(*args)
+        return link(*args, **kwargs)
 
     def counted(*args):
         before = len(calls)
@@ -218,7 +224,7 @@ def test_greedy_ladder_yes_decisions_link_one_set_per_petal(monkeypatch):
         decisions.append((args[3], yes, len(calls) - before))
         return yes
 
-    monkeypatch.setattr(flowers, "linked", counted_link)
+    monkeypatch.setattr(flowers, "disjoint_paths", counted_link)
     monkeypatch.setattr(ruleengine, "has_flower_of_order", counted)
     rep = reduce_pairs(normalize(gnm(150, 225, 25, 3, seed=11)).instance,
                        provider=feasible_z_greedy)
@@ -272,7 +278,7 @@ def test_leaf_fan_hub_no_needs_no_flow(monkeypatch, leaves):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(flowers, "_search", boom)
-    monkeypatch.setattr(flowers, "linked", boom)
+    monkeypatch.setattr(flowers, "disjoint_paths", boom)
     inst = leaf_fan(leaves, 2)
     for t in (3, 4):
         assert not has_flower_of_order(inst.graph, inst.s, 1, t)

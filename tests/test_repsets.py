@@ -5,11 +5,12 @@ from math import comb
 
 import pytest
 
-from helpers import check_representative, matroid_wide, random_block_matroid
+from helpers import (check_representative, matroid_wide, random_block_matroid,
+                     wedge3_coordinates)
 from sfvs_kernel import repsets
 from sfvs_kernel.cli import main
-from sfvs_kernel.fieldlinalg import (PRIME, IncrementalBasis,
-                                     wedge3_coordinates, wedge3_nonzero)
+from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
+                                     wedge3_nonzero)
 from sfvs_kernel.gammoid import uniform_rep
 from sfvs_kernel.instancefile import write_instance
 from sfvs_kernel.multigraph import Instance, Multigraph
@@ -157,14 +158,17 @@ def test_exact_filter_stops_once_the_basis_is_full(paths, monkeypatch):
     want = exact_filter(rep, 3, 1, triples)
     assert want == [triples[0], triples[2], triples[3]]
     written = []
+    wedge = IncrementalBasis.wedge
 
-    def counted(a, b, c):
-        written.append((a, b, c))
-        return wedge3_coordinates(a, b, c)
+    def counted(self, a, b, c):
+        w = wedge(self, a, b, c)
+        written.append(self._unpack(self.canonical(w)))
+        return w
 
-    monkeypatch.setattr(repsets, "wedge3_coordinates", counted)
+    monkeypatch.setattr(IncrementalBasis, "wedge", counted)
     assert representative_triples(rep, 3, 1, triples) == want
-    assert written == [(rep[a], rep[b], rep[c]) for a, b, c in triples[:4]]
+    assert written == [wedge3_coordinates(rep[a], rep[b], rep[c])
+                       for a, b, c in triples[:4]]
     assert paths == Counter(exact=1)
 
 
@@ -184,6 +188,58 @@ def test_each_kind_of_zero_wedge_is_dropped(paths):
     assert representative_triples(rep, 3, 1, triples) == live
     assert exact_filter(rep, 3, 1, triples) == live
     assert paths == Counter(certified=1)
+
+
+def test_same_triples_after_an_invertible_change_of_first_block_basis(paths):
+    """Columns P a for one invertible P change every wedge by
+    Lambda^2 P (x) I, so the kept list stays: the freedom that lets
+    gammoid.represent read its dual off any column order."""
+    rng = random.Random(88)
+    for _ in range(200):
+        m, d1, d2, triples = random_block_matroid(rng, d1_hi=6, d2_hi=3,
+                                                  ground_hi=12)
+        while True:
+            p = [[rng.randrange(PRIME) for _ in range(d1)] for _ in range(d1)]
+            if FieldMatrix(p, d1).rank() == d1:
+                break
+        moved = {lab: [sum(x * y for x, y in zip(row, col)) for row in p]
+                 if lab[0] == "g" else col for lab, col in m.items()}
+        assert representative_triples(moved, d1, d2, triples) == \
+            representative_triples(m, d1, d2, triples)
+    assert paths["certified"] > 100 and paths["exact"] > 20
+
+
+def test_projector_images_are_packed_dot_products():
+    """The projection of v is U v mod p packed at stride d2, U read off the
+    images of the unit vectors, for unreduced and negative v too; and the
+    wedge of two images is that of the unpacked ones."""
+    rng = random.Random(89)
+    for d1, r, d2 in ((5, 2, 1), (9, 4, 3), (40, 8, 3), (64, 2, 1)):
+        basis = IncrementalBasis.of_wedges(r, d2, terms=d1)
+        project = repsets._random_projector(rng, d1, r, d2, basis)
+        u = [unstride(basis, project([int(i == j) for i in range(d1)]), r, d2)
+             for j in range(d1)]
+        for _ in range(5):
+            a = [rng.choice((PRIME - 1, -1, rng.randrange(-PRIME, 3 * PRIME)))
+                 for _ in range(d1)]
+            b = [rng.randrange(PRIME) for _ in range(d1)]
+            c = [rng.randrange(PRIME) for _ in range(d2)]
+            ua, ub = project(a), project(b)
+            assert unstride(basis, ua, r, d2) == \
+                [sum(x * col[i] for x, col in zip(a, u)) % PRIME
+                 for i in range(r)]
+            assert basis.pack(unstride(basis, ua, r, d2), d2) == ua
+            lists = [unstride(basis, v, r, d2) for v in (ua, ub)]
+            assert basis.canonical(basis.wedge(ua, ub, basis.pack(c))) == \
+                basis.pack(wedge3_coordinates(*lists, c))
+
+
+def unstride(basis, v, r, d2):
+    """The r coordinates of v packed at stride d2."""
+    w = basis.width
+    buf = v.to_bytes(w * r * d2, "big")
+    return [int.from_bytes(buf[(i + 1) * d2 * w - w:(i + 1) * d2 * w], "big")
+            for i in range(r)]
 
 
 def test_zero_wedge_predicate_matches_coordinates():
