@@ -18,14 +18,36 @@ blockers B join Z (rules 9/10). A pair of z-vertices seen by k + 2 edges
 with disjoint parts must be hit and is recorded (7, 9); failing that, an
 edge whose every sighting is already recorded is demoted (8, 10).
 
-Between steps the engine recomputes all derived structure from scratch, with
-one exception: rule 6's "no flower of order t at z" answers carry over, kept
-as (z, t) pairs. A flower in a subgraph, with a subset of S, is a flower of
-the larger instance too, and every rule that does not answer outright only
-deletes edges, vertices and S-edges or records a pair (pairs play no part in
-a flower), so the instance only shrinks and a "no" stays "no". Rules 4 and 6
-lower k, after which rule 6 asks about another order t = k + 1: a different
-key, so a fresh search. Nothing ever needs to forget an answer.
+Between steps the engine keeps what the last step provably left unchanged
+and rebuilds the rest. In the loop G only loses vertices and edges (rules 2,
+4, 6), S and Z only shrink and k only falls, so (n, m) names G, and
+(n, m, |S|, |Z|, k) names everything but the pairs. Each kept item carries
+the sizes it was built at and is used only while they still hold:
+
+- Rule 2 runs only when (n, m) differs from the end of its last pass. A
+  pass leaves no bridge (no cycle uses a bridge, so removing bridges makes
+  no new one) and no component without an S-edge or a pair vertex. While G
+  stays, a step records a pair, which only protects more, or demotes an
+  S-edge e, and e's component keeps an S-edge or a pair vertex. Rule 3
+  demotes only a non-bridge whose ends G - S does not join, so every cycle
+  through e uses a second S-edge. Rules 8/10 demote e only when rule 3 found
+  nothing, so a path of G - S joins e's two sides, and each side sees some
+  vertex of Z (or Z + B); as they see none in common, e's pairs across are
+  all recorded, and each holds a vertex next to e's side.
+- Rule 3 runs only when (n, m) differs from its last pass that found no
+  edge: a demotion only merges components of G - S, so it cannot make an
+  S-edge join two of them.
+- Rules 7-10's bubble decomposition, cover matching, blockers, Z + B
+  decomposition and sightings are kept while (n, m, |S|, |Z|, k) holds,
+  which is after a step of rule 7 or 9: pairs enter only the count, so the
+  next step recounts the same sightings.
+- Rule 6's "no flower of order t at z" answers carry over, kept as (z, t)
+  pairs. A flower in a subgraph, with a subset of S, is a flower of the
+  larger instance too, and every rule that does not answer outright only
+  deletes edges, vertices and S-edges or records a pair (pairs play no part
+  in a flower), so the instance only shrinks and a "no" stays "no". Rules 4
+  and 6 lower k, after which rule 6 asks about another order t = k + 1: a
+  different key, so a fresh search. Nothing ever needs to forget an answer.
 
 Soundness of the counting rules leans on witnesses being vertex-disjoint,
 which is asserted at the moment each rule fires rather than trusted.
@@ -169,7 +191,8 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
     Gallai's A is the set of partner endpoints: the far ends q of the
     z-adjacent leaves' S-edges whose far bubble is inner. An A-path in the
     plain graph of those bubbles is exactly the inner part of a
-    leaf-to-leaf path. k+1 disjoint such paths would lift to a flower of
+    leaf-to-leaf path, so with fewer than two such q there is none and the
+    blocker is empty. k+1 disjoint such paths would lift to a flower of
     order k+1 at z, which rule 6 has already ruled out, so finding them
     raises AssertionError. Blocker vertices on S-edges move to their bases,
     which still cut every A-path: a q's only plain neighbour is its base.
@@ -184,7 +207,7 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
             u, v = g.endpoints(eid)
             a.add(v if u in dec.bubbles[leaf] else u)
             inner_union |= dec.bubbles[far]
-    if not a:
+    if len(a) < 2:
         return frozenset()
     gz = g.induced(inner_union)
     for eid in gz.edges.keys() & s:
@@ -197,8 +220,8 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
     out = {base_of(g, s, x) if any(e in s for e in g.incident(x)) else x
            for x in res.blocker}
 
-    vs = {v for eid in s for v in g.endpoints(eid)}
-    if not out <= inner_union - vs:
+    if not out <= inner_union or \
+            any(e in s for x in out for e in g.incident(x)):
         raise AssertionError("blocker leaves the inner bubbles or touches V(S)")
     if len(out) > 2 * k:
         raise AssertionError("blocker exceeds 2k vertices")
@@ -209,6 +232,31 @@ def compute_blocker(g: Multigraph, s: frozenset[int], dec: Decomposition,
 
 
 # ------------------------------------------------------------------- engine
+
+
+@dataclass
+class _PairView:
+    """Rules 7-10's structure at the G, S, Z and k that `at` names: the
+    bubble decomposition, its cover matching and M's sightings, and, once
+    rules 9/10 are reached, the blocker union B and L's sightings."""
+    at: tuple[int, int, int, int, int]   # (n, m, |S|, |Z|, k)
+    dec: Decomposition
+    matched: set[int]
+    m_sightings: list
+    b: frozenset[int] = frozenset()
+    l_sightings: Optional[list] = None
+
+
+@dataclass
+class _Kept:
+    """Derived structure kept between steps, each part stamped with the
+    sizes of G (and of S, Z and k) it was built at; see the module
+    docstring."""
+    # (n, m) of G after the last pass of rule 2, and at the last pass of
+    # rule 3 that found nothing
+    rule2_clean_at: Optional[tuple[int, int]] = None
+    rule3_clean_at: Optional[tuple[int, int]] = None
+    view: Optional[_PairView] = None
 
 
 @dataclass
@@ -225,6 +273,7 @@ class _State:
     stats: Optional[dict] = None
     last_blocker: frozenset[int] = frozenset()
     no_flower: set[tuple[int, int]] = field(default_factory=set)  # (z, order)
+    kept: _Kept = field(default_factory=_Kept)
 
 
 @dataclass
@@ -253,26 +302,30 @@ def _pair_vertices(st: _State) -> set[int]:
 
 
 def _rule2(st: _State) -> bool:
-    g = st.graph
+    g, kept = st.graph, st.kept
+    if kept.rule2_clean_at == (g.n, g.m):
+        return False
     acted = False
     for eid in sorted(g.bridges()):
         g.remove_edge(eid)
         st.s.discard(eid)
         acted = True
     keep = _pair_vertices(st)
+    s_ends = {v for eid in st.s for v in g.endpoints(eid)}
     for comp in g.components():
-        if keep & set(comp):
-            continue
-        if not any(e in st.s for v in comp for e in g.incident(v)):
-            for v in sorted(comp):
+        if s_ends.isdisjoint(comp) and keep.isdisjoint(comp):
+            for v in comp:
                 g.remove_vertex(v)
                 st.z.discard(v)
             acted = True
+    kept.rule2_clean_at = (g.n, g.m)
     return acted
 
 
 def _rule3(st: _State) -> Optional[int]:
-    g = st.graph
+    g, kept = st.graph, st.kept
+    if kept.rule3_clean_at == (g.n, g.m):
+        return None
     comp_of: dict[int, int] = {}
     for i, comp in enumerate(g.components(banned_edges=st.s)):
         for v in comp:
@@ -281,6 +334,7 @@ def _rule3(st: _State) -> Optional[int]:
         u, v = g.endpoints(eid)
         if comp_of[u] != comp_of[v]:
             return eid
+    kept.rule3_clean_at = (g.n, g.m)
     return None
 
 
@@ -396,29 +450,34 @@ def _apply_once(st: _State) -> Optional[int]:
 
     # rules 7/8: a pair seen by k+2 matched edges, or a matched edge whose
     # every sighting is already recorded
-    dec = decompose(g, sfro, frozenset(st.z))
-    matched = cover_matching(dec)
-    fired = _count_sightings(st, _m_sees(dec, matched))
+    at = (g.n, g.m, len(st.s), len(st.z), k)
+    view = st.kept.view
+    if view is None or view.at != at:
+        dec = decompose(g, sfro, frozenset(st.z))
+        matched = cover_matching(dec)
+        view = st.kept.view = _PairView(at, dec, matched,
+                                        _m_sees(dec, matched))
+    fired = _count_sightings(st, view.m_sightings)
     if fired is not None:
         return 7 + fired
 
     # rules 9/10 look at uncovered leaves through the blocker-refined pieces
-    blockers = {zv: compute_blocker(g, sfro, dec, zv, k)
-                for zv in sorted(st.z)}
-    b = frozenset().union(*blockers.values()) if blockers else frozenset()
-    st.last_blocker = b
-    deczb = decompose(g, sfro, frozenset(st.z) | b)
-    lset = uncovered_leaves(dec, matched)
-    ledges = _leaf_edges(g, st, dec, lset, deczb)
-
+    if view.l_sightings is None:
+        view.b = frozenset().union(*(compute_blocker(g, sfro, view.dec, zv, k)
+                                     for zv in sorted(st.z)))
+        deczb = decompose(g, sfro, frozenset(st.z) | view.b)
+        lset = uncovered_leaves(view.dec, view.matched)
+        view.l_sightings = _leaf_edges(g, st, view.dec, lset, deczb)
+    st.last_blocker = view.b
     st.stats = {
-        "z": len(st.z), "b": len(b), "m": len(matched), "l": len(lset),
-        "pairs": len(st.pairs), "s": len(st.s), "k": st.k, "n": g.n,
+        "z": len(st.z), "b": len(view.b), "m": len(view.matched),
+        "l": len(view.l_sightings), "pairs": len(st.pairs), "s": len(st.s),
+        "k": st.k, "n": g.n,
     }
 
     # rules 9/10: the same count over the uncovered leaves' edges, with
     # oriented pairs
-    fired = _count_sightings(st, ledges)
+    fired = _count_sightings(st, view.l_sightings)
     return None if fired is None else 9 + fired
 
 

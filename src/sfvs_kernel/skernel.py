@@ -18,7 +18,9 @@ v-hat per vertex. A vertex v matters for some solution only if
 so a representative family of those triples pins down a set W with all of T
 such that the torso of the core onto W is an equivalent instance. The direct
 sum is never built: the filter gets each triple's gammoid columns and its
-uniform column as they are (see repsets).
+uniform column as they are (see repsets). A vertex with at most one
+in-neighbour has sink copies that are multiples of one column, so its triple
+has a zero wedge, which the filter would drop; it is left out beforehand.
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
 a random matrix misrepresents the gammoid. The representative-set filter adds
 no failure probability: its random sketch decides only how fast it runs, not
@@ -27,11 +29,13 @@ what it keeps (see repsets).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Collection, Optional
 
-from .gammoid import add_sink_copies, bidirected, represent, uniform_rep
+from .gammoid import (Digraph, add_sink_copies, bidirected, represent,
+                      uniform_rep)
 from .multigraph import Instance, Multigraph, base_of, torso
 from .repsets import representative_triples
 
@@ -104,6 +108,14 @@ def cycle_core(g: Multigraph, t: Collection[int]) -> Multigraph:
         g = torso(g, core)
 
 
+def _wedge_candidates(d: Digraph) -> list[int]:
+    """Vertices of d with at least two in-neighbours, in increasing order:
+    the only ones whose triple can have a nonzero wedge. Any other vertex's
+    sink copies are multiples of one column, or zero."""
+    indegree = Counter(w for ws in d.succ for w in ws)
+    return sorted(v for i, v in enumerate(d.vertices) if indegree[i] >= 2)
+
+
 def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
     """Equivalent instance on at most C(|T|,2)*k + |T| vertices, |T| = 2|S|."""
     inst.validate()
@@ -136,7 +148,8 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
         raise AssertionError("sources always link to themselves")
     m2 = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
 
-    triples = [(("c1", v), ("c2", v), ("hat", v)) for v in sorted(g.vertices())]
+    triples = [(("c1", v), ("c2", v), ("hat", v))
+               for v in _wedge_candidates(dg)]
     kept = representative_triples(m1.columns | m2.columns, len(t), k, triples)
 
     w = frozenset(t) | frozenset(lab[1] for _, _, lab in kept)

@@ -628,3 +628,135 @@ RULE_STAGE_SHA256 = \
 
 def test_rule_stage_output_is_pinned():
     assert rule_stage_digest() == RULE_STAGE_SHA256
+
+
+# -- structure kept between steps ---------------------------------------------
+
+
+def engine_record(pinst, provider, direct):
+    """What `run_rules` reports (or, if direct, the engine on the normalized
+    input), with the final instance serialized, and the engine's report
+    when the engine ran."""
+    if direct:
+        eng = reduce_pairs(normalize(pinst).instance, provider=provider)
+        out = (eng.outcome, serialize_instance(eng.final.with_pairs()))
+    else:
+        rep = run_rules(pinst, provider=provider)
+        out = (rep.outcome, serialize_instance(rep.final.with_pairs()))
+        eng = rep.engine
+    if eng is None:
+        return out
+    return out + (eng.rule_counts, eng.forced, eng.z, eng.blocker, eng.stats)
+
+
+def dumbbell_cluster(rng):
+    """Dumbbells x-a-b-y (S-edge a-b) between random pairs of 2-4 hubs, some
+    with a longer arm b-c-y, plain chords among the other vertices, maybe a
+    recorded pair of hubs; with the hubs as the input's Z, rules 8 and 10
+    demote many of the S-edges."""
+    h = rng.randint(2, 4)
+    g, s = Multigraph.from_edges(range(1, h + 1), []), set()
+    for _ in range(rng.randint(2, 9)):
+        x, y = rng.sample(range(1, h + 1), 2)
+        a = max(g.vertices()) + 1
+        g.add_edge(x, a)
+        s.add(g.add_edge(a, a + 1))
+        if rng.random() < 0.3:
+            g.add_edge(a + 1, a + 2)
+            a += 1
+        g.add_edge(a + 1, y)
+    for _ in range(rng.randint(0, 3)):
+        g.add_edge(*rng.sample(range(h + 1, max(g.vertices()) + 1), 2))
+    pairs = [frozenset(rng.sample(range(1, h + 1), 2))] * rng.randint(0, 1)
+    pinst = PairInstance(g, frozenset(s), frozenset(pairs), rng.randint(1, 3))
+    return pinst, frozenset(range(1, h + 1))
+
+
+def kept_state_cases():
+    """(input, provider, straight to the engine) for the rule stage."""
+    cases = [(gad.pinst, gad.provider, False) for gad in gadget_suite()]
+    cases += [(pinst, provider, False) for _, pinst, provider, _
+              in sweep_instances(200, 0, 10, 3)]
+    cases += [(leaf_fan(leaves, 2), provider, False) for leaves in range(3, 13)
+              for provider in (None, feasible_z_greedy)]
+    cases += [(planted(n, 3, 4, 11), feasible_z_greedy, False)
+              for n in (300, 1000)]
+    cases += [(mirrored_dumbbells(), _scripted(frozenset((1, 2))), False),
+              (two_fans(), feasible_z_greedy, False)]
+    # rule 6 deletes hubs whose petals are left as bridges; the S-cycle
+    # packing of `run_rules` would answer these before the engine
+    g, s = Multigraph.from_edges([1, 2, 3], []), set()
+    for hub, petals in ((1, 2), (2, 3), (3, 1)):
+        add_triangle_petals(g, s, hub, petals)
+    cases.append((PairInstance(g, frozenset(s), frozenset(), 2),
+                  _scripted(frozenset([1, 2, 3])), True))
+    rng = random.Random(6)
+    for i in range(60):
+        g, s = hub_cluster(rng, 2 + i % 2)
+        pinst = PairInstance(g, s, frozenset(), rng.randint(1, 4))
+        cases += [(pinst, None, True), (pinst, feasible_z_greedy, True)]
+    while len(cases) < 600:
+        pinst, hubs = dumbbell_cluster(rng)
+        ninst = normalize(pinst).instance
+        if not has_s_cycle(ninst.graph, ninst.s, hubs):
+            cases += [(pinst, provider, True) for provider in
+                      (_scripted(hubs), None, feasible_z_greedy)]
+    return cases
+
+
+def test_kept_structure_matches_a_rebuild_at_every_step(monkeypatch):
+    # the same engine with everything it keeps between steps thrown away
+    # before each step must report the same, while building less
+    built = []
+    dec = ruleengine.decompose
+
+    def counted(*args):
+        built.append(1)
+        return dec(*args)
+
+    monkeypatch.setattr(ruleengine, "decompose", counted)
+    cases = kept_state_cases()
+    kept = [engine_record(*case) for case in cases]
+    kept_builds = len(built)
+    step = ruleengine._apply_once
+
+    def rebuilt(st_):
+        st_.kept = ruleengine._Kept()
+        return step(st_)
+
+    monkeypatch.setattr(ruleengine, "_apply_once", rebuilt)
+    for case, want in zip(cases, kept):
+        assert engine_record(*case) == want
+    assert kept_builds < len(built) - kept_builds
+
+
+def test_the_step_after_rule_9_rebuilds_nothing(monkeypatch):
+    calls, fired = [[]], []     # calls[i]: what step i called; 0 before
+    step = ruleengine._apply_once
+
+    def stepped(st_):
+        calls.append([])
+        fired.append(step(st_))
+        return fired[-1]
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[-1].append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(ruleengine, "_apply_once", stepped)
+    monkeypatch.setattr(ruleengine, "decompose",
+                        spy("decompose", ruleengine.decompose))
+    monkeypatch.setattr(ruleengine, "compute_blocker",
+                        spy("blocker", ruleengine.compute_blocker))
+    monkeypatch.setattr(Multigraph, "bridges",
+                        spy("bridges", Multigraph.bridges))
+    run_rules(leaf_fan(7, 2))
+    assert fired == [2, 9, 10, 10, 10, 10, 10, None]
+    assert calls[3] == []
+    # the rule-9 step builds both decompositions and a blocker, and so does
+    # every step after a demotion; only rule 2's own step runs a bridge pass
+    for i in (2, 4, 5, 6, 7, 8):
+        assert calls[i].count("decompose") == 2 and "blocker" in calls[i]
+    assert [i for i in range(1, 9) if "bridges" in calls[i]] == [1]

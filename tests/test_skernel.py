@@ -10,15 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import broken_core, matroid_wide, random_instance
+from helpers import (broken_core, matroid_wide, random_instance,
+                     random_multigraph)
 from sfvs_kernel import pipeline, skernel
 from sfvs_kernel.cli import main
+from sfvs_kernel.fieldlinalg import wedge3_nonzero
+from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
+                                 uniform_rep)
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.instancefile import serialize_instance, write_instance
 from sfvs_kernel.multigraph import Instance, Multigraph, normalize
 from sfvs_kernel.oracle import solve_exact
-from sfvs_kernel.skernel import (canonical_no, canonical_yes, check_normalized,
-                                 cycle_core, kernelize_by_s)
+from sfvs_kernel.repsets import representative_triples
+from sfvs_kernel.skernel import (_wedge_candidates, canonical_no,
+                                 canonical_yes, check_normalized, cycle_core,
+                                 kernelize_by_s)
 from sfvs_kernel.verify import run_sweep
 
 LIFTED_CAP = 10 ** 6   # as in perfbench/checks.py: k <= 3 keeps the search small
@@ -300,3 +306,63 @@ def test_broken_core_is_caught_under_python_O(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 3, run.stderr
     assert "internal error: AssertionError: cycle core broke" in run.stderr
+
+
+# -- triples left out before the filter -----------------------------------------
+
+
+def triple(v):
+    return (("c1", v), ("c2", v), ("hat", v))
+
+
+def check_left_out(columns, d1, d2, every, offered):
+    """Every triple of `every` missing from `offered` has a zero wedge, and
+    the filter keeps the same triples from both lists. Returns how many
+    were left out and how many triples of `every` have a zero wedge."""
+    left = [tr for tr in every if tr not in set(offered)]
+    for a, b, c in left:
+        assert not wedge3_nonzero(columns[a], columns[b], columns[c])
+    zero = sum(1 for a, b, c in every
+               if not wedge3_nonzero(columns[a], columns[b], columns[c]))
+    assert representative_triples(columns, d1, d2, offered) == \
+        representative_triples(columns, d1, d2, every)
+    return len(left), zero
+
+
+def test_left_out_triples_have_zero_wedges_on_matroid_wide(monkeypatch):
+    calls = []
+    filt = skernel.representative_triples
+
+    def spied(columns, d1, d2, triples):
+        calls.append((columns, d1, d2, triples))
+        return filt(columns, d1, d2, triples)
+
+    monkeypatch.setattr(skernel, "representative_triples", spied)
+    left_total = 0
+    for n in (90, 100, 105):
+        kernelize_by_s(matroid_wide(n).drop_pairs(), seed=5)
+        columns, d1, d2, offered = calls[-1]
+        every = [triple(lab[1]) for lab in columns
+                 if isinstance(lab, tuple) and lab[0] == "hat"]
+        left, zero = check_left_out(columns, d1, d2, every, offered)
+        # every zero wedge there comes from a vertex with one in-neighbour
+        assert left == zero
+        left_total += left
+    assert left_total == 112
+
+
+def test_left_out_triples_have_zero_wedges_on_random_digraphs():
+    rng = random.Random(12)
+    left_total = 0
+    for _ in range(150):
+        g, _ = random_multigraph(rng, n_hi=9)
+        dg = bidirected(g)
+        t = rng.sample(dg.vertices, rng.randint(1, min(4, g.n)))
+        k = rng.randint(1, 3)
+        rep = add_sink_copies(represent(dg, t, dg.vertices, rng), dg, rng)
+        columns = rep.columns | uniform_rep(
+            [("hat", v) for v in sorted(g.vertices())], k).columns
+        offered = [triple(v) for v in _wedge_candidates(dg)]
+        every = [triple(v) for v in sorted(g.vertices())]
+        left_total += check_left_out(columns, len(t), k, every, offered)[0]
+    assert left_total > 100
