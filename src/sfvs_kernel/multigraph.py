@@ -502,6 +502,23 @@ def base_of(g: Multigraph, s: Collection[int], p: int) -> int:
     return others[0]
 
 
+def check_normalized(inst: Instance | PairInstance) -> None:
+    """Raise ValueError unless inst has the shape normalize leaves: no
+    S-loops, every S-edge endpoint of degree 2 on one S-edge with a base
+    (base_of) off V(S), and no pair touching V(S)."""
+    g, s = inst.graph, inst.s
+    ends = {v for eid in s for v in g.endpoints(eid)}
+    for eid in s:
+        u, v = g.endpoints(eid)
+        if u == v:
+            raise ValueError("normalized instances have no S-loops")
+        if base_of(g, s, u) in ends or base_of(g, s, v) in ends:
+            raise ValueError("bases of S-edge endpoints must lie off V(S)")
+    if isinstance(inst, PairInstance) and \
+            any(not ends.isdisjoint(pr) for pr in inst.pairs):
+        raise ValueError("recorded pairs must avoid V(S)")
+
+
 # -- torso -------------------------------------------------------------------
 
 

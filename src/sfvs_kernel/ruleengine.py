@@ -60,10 +60,10 @@ from typing import Callable, Optional
 
 from .flowers import has_flower_of_order
 from .multigraph import (Instance, Multigraph, PairInstance, base_of,
-                         has_s_cycle, is_solution)
+                         check_normalized, has_s_cycle, is_solution)
 from .oracle import FeasibleZ, feasible_z_exact
 from .pathpacking import exists_apath, gallai_blocker_or_packing
-from .skernel import canonical_no, canonical_yes, check_normalized
+from .skernel import canonical_no, canonical_yes
 
 Provider = Callable[[Multigraph, frozenset], FeasibleZ]
 
@@ -128,47 +128,33 @@ def decompose(g: Multigraph, s: frozenset[int], y: frozenset[int]) -> Decomposit
 
 
 def cover_matching(dec: Decomposition) -> set[int]:
-    """Matching in the bubble forest covering every inner bubble: match each
-    subtree root to its smallest child, then do the same below every skipped
-    non-leaf. Iterative, so the depth of the forest is not bounded by the
-    recursion limit. Each component it walks must have one link fewer than
-    bubbles, or the bubble graph is no forest and AssertionError is raised."""
+    """Matching in the bubble forest covering every inner bubble, in one
+    top-down pass: each component is rooted at its smallest bubble and
+    walked parents first, and each bubble with children that its parent did
+    not take is matched to its smallest child. AssertionError unless each
+    component has one link fewer than bubbles, that is, is a tree."""
     n = len(dec.bubbles)
-    seen = [False] * n
+    parent: dict[int, Optional[int]] = {}
     matched: set[int] = set()
-
-    def children_of(v: int, parent: Optional[int]) -> list[int]:
-        return sorted(w for w in dec.adj[v] if w != parent)
-
-    for b in range(n):
-        if seen[b] or not dec.adj[b]:
-            seen[b] = True
+    covered: set[int] = set()
+    for root in range(n):
+        if root in parent:
             continue
-        comp = [b]
-        stack = [b]
-        seen[b] = True
-        while stack:
-            x = stack.pop()
+        parent[root] = None
+        order = [root]
+        for x in order:                    # breadth first: parents first
             for w in dec.adj[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        if sum(dec.degree(x) for x in comp) != 2 * (len(comp) - 1):
+                if w not in parent:
+                    parent[w] = x
+                    order.append(w)
+        if sum(dec.degree(x) for x in order) != 2 * (len(order) - 1):
             raise AssertionError("bubble graph must be a forest")
-        # subtree roots with their parents, each with an edge to place
-        todo: list[tuple[int, Optional[int]]] = [(min(comp), None)]
-        while todo:
-            r, parent = todo.pop()
-            kids = children_of(r, parent)
-            v = kids[0]
-            matched.add(dec.adj[r][v])
-            for w in reversed(children_of(v, r) + kids[1:]):
-                p = v if w in dec.adj[v] else r
-                if children_of(w, p):
-                    todo.append((w, p))
-
-    covered = {b for eid in matched for b in dec.link[eid]}
+        for x in order:
+            kids = [w for w in dec.adj[x] if w != parent[x]]
+            if kids and x not in covered:
+                v = min(kids)
+                matched.add(dec.adj[x][v])
+                covered |= {x, v}
     for b in range(n):
         if dec.degree(b) >= 2 and b not in covered:
             raise AssertionError("matching must cover every inner bubble")
@@ -499,7 +485,7 @@ def finalize(g: Multigraph, s: set[int], pairs: set[frozenset[int]],
 def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
                  max_steps: Optional[int] = None) -> EngineReport:
     pinst.validate()
-    check_normalized(Instance(pinst.graph, pinst.s, pinst.k))
+    check_normalized(pinst)
     if provider is None:
         provider = feasible_z_exact
 

@@ -36,7 +36,7 @@ from typing import Collection, Optional
 
 from .gammoid import (Digraph, add_sink_copies, bidirected, represent,
                       uniform_rep)
-from .multigraph import Instance, Multigraph, base_of, torso
+from .multigraph import Instance, Multigraph, check_normalized, torso
 from .repsets import representative_triples
 
 
@@ -60,16 +60,6 @@ def canonical_no() -> Instance:
     g.add_vertex(1)
     eid = g.add_edge(1, 1)
     return Instance(g, frozenset([eid]), 0)
-
-
-def check_normalized(inst: Instance) -> None:
-    g, s = inst.graph, inst.s
-    for eid in s:
-        u, v = g.endpoints(eid)
-        if u == v:
-            raise ValueError("normalized instances have no S-loops")
-        base_of(g, s, u)
-        base_of(g, s, v)
 
 
 def cycle_core(g: Multigraph, t: Collection[int]) -> Multigraph:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import random_instance, random_multigraph
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
-                                    find_s_cycle, has_s_cycle, is_s_cycle,
-                                    is_solution, normalize, s_cycle_packing,
-                                    torso)
+                                    check_normalized, find_s_cycle,
+                                    has_s_cycle, is_s_cycle, is_solution,
+                                    normalize, s_cycle_packing, torso)
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.oracle import solve_exact
-from sfvs_kernel.skernel import check_normalized
 
 
 def skeleton(g: Multigraph, banned_vertices=(), banned_edges=()) -> nx.Graph:
@@ -327,7 +326,7 @@ def test_normalize_output_shape(seed):
     norm = normalize(pinst)
     out = norm.instance
     out.validate()
-    check_normalized(Instance(out.graph, out.s, out.k))
+    check_normalized(out)
     assert out.k == pinst.k - len(norm.forced)
     for v in out.graph.vertices():
         assert norm.landing[v] in set(pinst.graph.vertices())
@@ -402,7 +401,7 @@ def test_normalize_leaves_settled_s_edges_alone(seed):
     assert out.s == pinst.s
     assert set(out.graph.vertices()) == set(pinst.graph.vertices())
     assert all(w == v for v, w in norm.landing.items())
-    check_normalized(Instance(out.graph, out.s, out.k))
+    check_normalized(out)
     want = solve_exact(pinst)
     got = solve_exact(out)
     assert got.found == want.found

@@ -252,6 +252,16 @@ def test_engine_rejects_unnormalized_input():
         reduce_pairs(pinst)
 
 
+def test_engine_rejects_a_pair_on_v_s():
+    # the S-triangle 1-2-3 with S-edge 2-3 is normalized; a recorded pair
+    # through the S-endpoint 2 is not
+    g = Multigraph.from_edges([], [(1, 2), (2, 3), (3, 1), (1, 4)])
+    pinst = PairInstance(g, frozenset([2]), frozenset([frozenset((2, 4))]), 1)
+    reduce_pairs(PairInstance(g, frozenset([2]), frozenset(), 1))
+    with pytest.raises(ValueError, match="pairs"):
+        reduce_pairs(pinst)
+
+
 def test_engine_rejects_provider_touching_s_endpoints():
     ninst, _ = normalized_gadget()
     bad = lambda g, s: FeasibleZ(frozenset(g.endpoints(next(iter(s)))[:1]), None)

@@ -19,12 +19,12 @@ from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
                                  uniform_rep)
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.instancefile import serialize_instance, write_instance
-from sfvs_kernel.multigraph import Instance, Multigraph, normalize
+from sfvs_kernel.multigraph import (Instance, Multigraph, check_normalized,
+                                    normalize)
 from sfvs_kernel.oracle import solve_exact
 from sfvs_kernel.repsets import representative_triples
 from sfvs_kernel.skernel import (_wedge_candidates, canonical_no,
-                                 canonical_yes, check_normalized, cycle_core,
-                                 kernelize_by_s)
+                                 canonical_yes, cycle_core, kernelize_by_s)
 from sfvs_kernel.verify import run_sweep
 
 LIFTED_CAP = 10 ** 6   # as in perfbench/checks.py: k <= 3 keeps the search small
@@ -70,6 +70,11 @@ def test_check_normalized_rejects_raw_graphs():
     sb = path.add_edge(2, 3)
     with pytest.raises(ValueError):
         check_normalized(Instance(path, frozenset([sa, sb]), 1))
+    # S-edges 1-2 and 3-4 on the cycle 5-1-2-3-4-5: the base of 2 is 3,
+    # an endpoint of the other S-edge
+    ring = Multigraph.from_edges([], [(5, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    with pytest.raises(ValueError, match="off V"):
+        check_normalized(Instance(ring, frozenset([2, 4]), 1))
 
 
 def test_shortcut_no_s_edges():
