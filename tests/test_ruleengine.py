@@ -12,7 +12,8 @@ from sfvs_kernel.generators import (_scripted, gadget_suite, gnm, leaf_fan,
                                     planted)
 from sfvs_kernel.instancefile import serialize_instance
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance,
-                                    base_of, has_s_cycle, normalize)
+                                    base_of, has_s_cycle, normalize,
+                                    s_cycle_packing)
 from sfvs_kernel.oracle import FeasibleZ, feasible_z_greedy, solve_exact
 from sfvs_kernel.pathpacking import (exists_apath, gallai_blocker_or_packing,
                                      max_disjoint_apaths)
@@ -296,6 +297,37 @@ def test_factor_certified_overlarge_z_is_a_no():
     assert not solve_exact(rep.final).found
 
 
+def test_exact_z_past_k_is_a_no_the_packing_misses():
+    # gnm(7, 11) at k = 1, one of small-batch's draws: its S-cycles pairwise
+    # meet, so the packing holds one, yet no vertex hits them all. The exact
+    # provider's Z, a minimum among sets avoiding V(S), has two vertices:
+    # past factor * k = 1, though not past 8k
+    g = Multigraph.from_edges(range(1, 8), [
+        (1, 2), (5, 7), (2, 4), (4, 7), (6, 7), (3, 4), (2, 3), (1, 7),
+        (1, 4), (3, 7), (3, 6)])
+    pinst = PairInstance(g, frozenset([5, 6, 9, 10]), frozenset(), 1)
+    ninst = normalize(pinst).instance
+    assert len(s_cycle_packing(ninst.graph, ninst.s, 2)) == 1
+    rep = reduce_pairs(ninst)
+    assert rep.outcome == "trivial-no" and rep.rule_counts == {}
+    assert len(rep.z) == 2
+    assert run_rules(pinst).outcome == "trivial-no"
+    assert not solve_exact(pinst).found
+
+
+def test_exact_z_of_size_k_is_no_answer():
+    # the S-cycle 1-2-3-4-5 (S-edge 2-3) and the pair {5, 6} at k = 1: {5}
+    # hits both, while the exact Z, one vertex off V(S), may miss the pair;
+    # |Z| = k proves nothing, so the rules must run
+    g = Multigraph.from_edges(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5),
+                                            (5, 1)])
+    pinst = PairInstance(g, frozenset([2]), frozenset([frozenset((5, 6))]), 1)
+    rep = reduce_pairs(pinst)
+    assert len(rep.z) == 1 and not rep.z & {5, 6}
+    assert rep.outcome == "reduced"
+    assert solve_exact(rep.final).found
+
+
 def test_trivial_yes_shortcut():
     # a plain triangle with one S-edge and budget 1: the provider's z is a solution
     g = Multigraph.from_edges([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
@@ -549,7 +581,7 @@ def test_blockers_match_the_pseudo_vertex_version(monkeypatch):
     for n in (300, 1000):
         run_rules(planted(n, 3, 4, 11), provider=feasible_z_greedy)
     rng = random.Random(5)
-    for i in range(60):
+    for i in range(150):
         g, s = hub_cluster(rng, 2 + i % 2)
         pinst = PairInstance(g, s, frozenset(), rng.randint(1, 4))
         for provider in (None, feasible_z_greedy):
