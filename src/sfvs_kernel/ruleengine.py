@@ -1,17 +1,15 @@
 """Reduction rules that shrink S to a polynomial of the budget k.
 
-The input has the shape normalize leaves, checked on entry by
-multigraph.check_normalized: each S-edge endpoint has degree 2 and a base
-off V(S), and no recorded pair touches V(S). A solution can then trade an
-S-edge endpoint for its base, so some minimum solution avoids V(S).
-
-Everything is organized around a feasible deletion set Z, disjoint from the
-S-edge endpoints, that hits every S-cycle. The components of G - Z - S are
-called bubbles; linking two bubbles whenever an S-edge runs between them gives
-a forest (a cycle would lift to an S-cycle avoiding Z). Bubbles are solitary,
-leaves, or inner by their degree in that forest. A provider that certifies Z
-within a factor f of the least such set answers "no" outright when
-|Z| > f k, since some minimum solution is such a set.
+The input has the shape normalize leaves (multigraph.check_normalized):
+each S-edge endpoint has degree 2 and a base off V(S), and no pair touches
+V(S), so a solution can trade an S-edge endpoint for its base and some
+minimum solution avoids V(S). Everything is organized around a feasible
+deletion set Z, disjoint from the S-edge endpoints, that hits every S-cycle;
+a Z certified within a factor f of the least such set answers "no" when
+|Z| > f k. The components of G - Z - S are called bubbles; linking two
+bubbles whenever an S-edge runs between them gives a forest (a cycle would
+lift to an S-cycle avoiding Z). Bubbles are solitary, leaves, or inner by
+their degree in that forest.
 
 The engine repeatedly applies the lowest-numbered applicable rule. Rules
 either answer the instance outright, delete graph material, demote S-edges to
@@ -21,11 +19,9 @@ pairs are realized as parallel S-edges once no rule applies.
 Rules 7-10 are one count, made twice: over the edges M of a matching of the
 bubble forest that covers every inner bubble (rules 7/8), then over the
 edges L of the uncovered leaves, seen through the pieces left when the
-blockers B join Z (rules 9/10). M is made top down: each bubble with
-children that its parent did not take is matched to its smallest child. A
-pair of z-vertices seen by k + 2 edges with disjoint parts must be hit and
-is recorded (7, 9); failing that, an edge whose every sighting is already
-recorded is demoted (8, 10).
+blockers B join Z (rules 9/10). A pair of z-vertices seen by k + 2 edges
+with disjoint parts must be hit and is recorded (7, 9); failing that, an
+edge whose every sighting is already recorded is demoted (8, 10).
 
 Between steps the engine keeps what the last step provably left unchanged
 and rebuilds the rest. In the loop G only loses vertices and edges (rules 2,
@@ -515,8 +511,6 @@ def reduce_pairs(pinst: PairInstance, provider: Optional[Provider] = None,
     if k >= 0 and len(fz.z) <= k and is_solution(pinst, fz.z):
         return EngineReport("trivial-yes", canonical_yes(k), None, fz.z,
                             frozenset(), {}, (), empty_stats)
-    # Z is at most factor times a least feasible set avoiding V(S), and some
-    # minimum solution is such a set (see the module docstring)
     if fz.factor is not None and len(fz.z) > fz.factor * max(k, 0):
         return EngineReport("trivial-no", canonical_no(), None, fz.z,
                             frozenset(), {}, (), empty_stats)

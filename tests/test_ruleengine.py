@@ -298,24 +298,24 @@ def test_factor_certified_overlarge_z_is_a_no():
 
 
 def test_exact_z_past_k_is_a_no_the_packing_misses():
-    # gnm(7, 11) at k = 1, one of small-batch's draws: its S-cycles pairwise
+    # one of small-batch's bubble forests at k = 1: its S-cycles pairwise
     # meet, so the packing holds one, yet no vertex hits them all. The exact
-    # provider's Z, a minimum among sets avoiding V(S), has two vertices:
-    # past factor * k = 1, though not past 8k
-    g = Multigraph.from_edges(range(1, 8), [
-        (1, 2), (5, 7), (2, 4), (4, 7), (6, 7), (3, 4), (2, 3), (1, 7),
-        (1, 4), (3, 7), (3, 6)])
-    pinst = PairInstance(g, frozenset([5, 6, 9, 10]), frozenset(), 1)
+    # provider's Z, a least set avoiding V(S), has two vertices: more than
+    # factor * k = 1, though not more than 8k
+    g = Multigraph.from_edges(range(1, 9), [
+        (3, 4), (5, 6), (5, 6), (1, 2), (2, 3), (4, 5), (1, 7), (1, 8),
+        (2, 8), (4, 7), (5, 8), (7, 8)])
+    pinst = PairInstance(g, frozenset([4, 5, 6]), frozenset(), 1)
     ninst = normalize(pinst).instance
     assert len(s_cycle_packing(ninst.graph, ninst.s, 2)) == 1
     rep = reduce_pairs(ninst)
     assert rep.outcome == "trivial-no" and rep.rule_counts == {}
     assert len(rep.z) == 2
-    assert run_rules(pinst).outcome == "trivial-no"
+    assert run_full(pinst).outcome == "trivial-no"
     assert not solve_exact(pinst).found
 
 
-def test_exact_z_of_size_k_is_no_answer():
+def test_exact_z_of_size_k_does_not_answer_no():
     # the S-cycle 1-2-3-4-5 (S-edge 2-3) and the pair {5, 6} at k = 1: {5}
     # hits both, while the exact Z, one vertex off V(S), may miss the pair;
     # |Z| = k proves nothing, so the rules must run
