@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", help="exhaustively solve a small instance")
     sv.add_argument("input", help="instance file, or - for stdin")
-    sv.add_argument("--max-k", type=int, default=None)
+    sv.add_argument("--max-k", type=int, default=None,
+                    help="try budgets up to min(N, header budget)")
     sv.set_defaults(func=cmd_solve, arg_errors=(ValueError,))
 
     gn = sub.add_parser("gen", help="generate a random instance")

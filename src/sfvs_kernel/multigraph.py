@@ -203,12 +203,9 @@ class Multigraph:
                 queue.append(w)
         return None
 
-    def bridges(self, banned_vertices: Collection[int] = (),
-                roots: Optional[Iterable[int]] = None) -> set[int]:
+    def bridges(self, banned_vertices: Collection[int] = ()) -> set[int]:
         """Edge ids of g minus the banned vertices whose removal disconnects
         their endpoints there; edges at a banned vertex are not reported.
-        Given roots, only the components of g minus the banned vertices that
-        hold a root are searched.
 
         Loops and edges with a parallel sibling are never bridges. Tarjan's
         lowlink in one iterative depth-first pass, O(n + m): the search skips
@@ -218,7 +215,7 @@ class Multigraph:
         order: dict[int, int] = {}
         low: dict[int, int] = {}
         out = set()
-        for root in self._inc if roots is None else roots:
+        for root in self._inc:
             if root in order or root in banned_vertices:
                 continue
             order[root] = low[root] = len(order)

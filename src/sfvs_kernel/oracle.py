@@ -7,7 +7,7 @@ the solvers here on instances small enough to enumerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .multigraph import (Instance, Multigraph, PairInstance, base_of,
                          find_s_cycle, has_s_cycle)
@@ -50,7 +50,7 @@ def _branch(g: Multigraph, s: frozenset[int], pairs, budget: int,
 
 
 def solve_exact(inst: Instance | PairInstance, max_k: Optional[int] = None,
-                avoid: Iterable[int] = (), n_cap: Optional[int] = None) -> SolveResult:
+                n_cap: Optional[int] = None) -> SolveResult:
     """Branch on a shortest violated cycle / unhit pair, budget-iterated so the
     returned witness has minimum size. Capped to keep runtimes honest."""
     if max_k is not None and max_k < 0:     # min(k, max_k) would try no budget
@@ -63,9 +63,9 @@ def solve_exact(inst: Instance | PairInstance, max_k: Optional[int] = None,
         raise ValueError(f"exact solver capped at {cap} vertices")
     if k > MAX_EXACT_BUDGET:
         raise ValueError(f"exact solver capped at budget {MAX_EXACT_BUDGET}")
-    avoid = frozenset(avoid)
     for budget in range(k + 1):
-        got = _branch(pinst.graph, pinst.s, pinst.pairs, budget, set(), avoid)
+        got = _branch(pinst.graph, pinst.s, pinst.pairs, budget, set(),
+                      frozenset())
         if got is not None:
             return SolveResult(True, frozenset(got))
     return SolveResult(False, None)
@@ -100,59 +100,40 @@ def feasible_z_greedy(g: Multigraph, s: frozenset[int]) -> FeasibleZ:
     """Feasible but uncertified: start from all base endpoints, prune greedily.
 
     Each base endpoint v, in increasing order, leaves Z unless G - (Z - v)
-    has an S-cycle. G - Z has none, so such a cycle runs through v and,
-    besides v, stays in one component C of G - Z that v has two edges into.
-    Z never holds an S-edge endpoint, so the cycle's S-edges lie in C. A
-    union-find keeps the components of G - Z and the S-edges inside each,
-    merging them as vertices leave Z. Only when some such C holds an S-edge
-    does a bridge pass run, and only on v's component of G - (Z - v).
+    has an S-cycle. G - Z has none, so its S-edges are bridges, and v's
+    edges are plain, since Z avoids V(S). Such a cycle is then v plus a path
+    between two of v's neighbours across an S-bridge, which exists exactly
+    when the two lie in one component of G - Z but in different bubbles
+    (components of G - Z - S). Two union-finds keep the components and the
+    bubbles of G - Z and merge both as vertices leave Z.
     """
     z = set(_base_endpoints(g, s))
     if has_s_cycle(g, s, z):
         raise AssertionError("base endpoints must hit every S-cycle")
-    parent = {v: v for v in g.vertices() if v not in z}
-    inner: dict[int, list[int]] = {v: [] for v in parent}   # root -> S-edges
+    comp = {v: v for v in g.vertices() if v not in z}
+    bubble = dict(comp)
 
-    def find(v: int) -> int:
+    def find(parent: dict[int, int], v: int) -> int:
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    def join(ra: int, rb: int) -> int:
-        """Merge two roots, the one with fewer S-edges under the other."""
-        if ra == rb:
-            return ra
-        if len(inner[ra]) > len(inner[rb]):
-            ra, rb = rb, ra
-        parent[ra] = rb
-        inner[rb] += inner.pop(ra)
-        return rb
-
-    for eid in sorted(g.edges):
-        a, b = g.edges[eid]
-        if a in parent and b in parent:
-            root = join(find(a), find(b))
-            if eid in s:
-                inner[root].append(eid)
+    for eid, (a, b) in g.edges.items():
+        if a in comp and b in comp:
+            comp[find(comp, a)] = find(comp, b)
+            if eid not in s:
+                bubble[find(bubble, a)] = find(bubble, b)
 
     for v in sorted(z):
-        touches: dict[int, int] = {}       # root -> edges from v into it
-        for eid in g.incident(v):
-            a, b = g.edges[eid]
-            w = b if a == v else a
-            if w in parent:
-                r = find(w)
-                touches[r] = touches.get(r, 0) + 1
-        live = {e for r, c in touches.items() if c >= 2 for e in inner[r]}
+        near = {w for eid in g.incident(v) for w in g.edges[eid] if w in comp}
+        roots = {find(bubble, w): find(comp, w) for w in near}
+        if len(set(roots.values())) < len(roots):
+            continue               # two bubbles in one component: an S-cycle
         z.discard(v)
-        if live and not live <= g.bridges(z, roots=[v]):
-            z.add(v)
-            continue
-        parent[v], inner[v] = v, []
-        root = v
-        for r in touches:
-            root = join(root, r)
+        comp[v] = bubble[v] = v
+        for b, c in roots.items():
+            bubble[b] = comp[c] = v
     return FeasibleZ(frozenset(z), None)
 
 

@@ -37,12 +37,9 @@ def test_solver_respects_avoid():
     g.add_edge(2, 3)
     g.add_edge(3, 1)
     inst = Instance(g, frozenset([se]), 1)
-    res = solve_exact(inst)
-    assert res.found
-    res2 = solve_exact(inst, avoid=[1, 2])
-    assert res2.found and res2.witness == frozenset([3])
-    res3 = solve_exact(inst, avoid=[1, 2, 3])
-    assert not res3.found
+    assert solve_exact(inst).found
+    # the exact provider avoids the S-edge's endpoints 1 and 2
+    assert feasible_z_exact(g, frozenset([se])).z == {3}
 
 
 def test_solver_max_k_tightens_budget():
@@ -59,6 +56,8 @@ def test_solver_max_k_tightens_budget():
     inst = Instance(g, frozenset([s1, s2]), 3)
     assert solve_exact(inst).found
     assert not solve_exact(inst, max_k=1).found
+    # max_k only lowers the header budget, never raises it
+    assert not solve_exact(Instance(g, frozenset([s1, s2]), 1), max_k=3).found
 
 
 def test_solver_caps():
@@ -162,6 +161,28 @@ def test_confined_pruning_matches_the_quadratic_reference():
         assert z == quadratic_greedy_z(g, s)
         sizes.append(len(z))
     assert max(sizes) >= 10
+
+
+@pytest.mark.parametrize("pinst", [planted(300, 3, 4, seed=11),
+                                   gnm(46, 69, 7, 3, seed=11)],
+                         ids=["planted-300", "gnm-46"])
+def test_greedy_pruning_makes_one_bridge_pass(pinst, monkeypatch):
+    # the entry check is the only bridge pass: each pruning test reads the
+    # components and bubbles of G - Z from union-finds
+    ninst = normalize(pinst).instance
+    calls = []
+    bridges = Multigraph.bridges
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return bridges(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multigraph, "bridges", spy)
+    z = feasible_z_greedy(ninst.graph, ninst.s).z
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(z) >= 2
+    assert z == quadratic_greedy_z(ninst.graph, ninst.s)
 
 
 def test_bridge_test_agrees_with_cycle_search_at_scale():
