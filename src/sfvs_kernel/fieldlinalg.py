@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 PRIME = (1 << 61) - 1
 _BITS = PRIME.bit_length()
@@ -81,6 +81,22 @@ class FieldMatrix:
 
     def rank(self) -> int:
         return len(_basis_of(self.rows))
+
+
+def combine(columns: Mapping[Hashable, Sequence[int]],
+            combinations: Mapping[Hashable, Sequence[tuple[Hashable, int]]],
+            length: int) -> dict[Hashable, list[int]]:
+    """Each combination [(u, x), ...] built as the vector sum of x * columns[u],
+    of the given length with entries below p, by label, in the order of
+    `combinations`."""
+    zero = [0] * length
+    out = {}
+    for lab, terms in combinations.items():
+        acc = zero
+        for u, x in terms:
+            acc = [a + x * c for a, c in zip(acc, columns[u])]
+        out[lab] = [a % PRIME for a in acc]
+    return out
 
 
 def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:

@@ -13,8 +13,10 @@ random matrix over F_p on its support, and dualize. One row reduction of that
 matrix, in packed rows, gives both its full-rank test and the dual.
 
 Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
-added to the digraph: add_sink_copies appends them as random combinations of
-existing columns, so the elimination runs on the original vertices only.
+added to the digraph: sink_copies draws each as a random combination of
+existing columns, so the elimination runs on the original vertices only, and
+the combinations are kept as coefficients until a caller builds them
+(add_sink_copies builds every one at full width).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .fieldlinalg import PRIME, IncrementalBasis
+from .fieldlinalg import PRIME, IncrementalBasis, combine
 from .multigraph import Multigraph
 
 
@@ -215,37 +217,44 @@ def bidirected(g: Multigraph, skip_edges: Iterable[int] = ()) -> Digraph:
     return Digraph.build(g.vertices(), arcs)
 
 
-def add_sink_copies(rep: MatroidRep, d: Digraph,
-                    rng: random.Random) -> MatroidRep:
-    """Extend a representation of d's gammoid (ground: all of d's vertices) by
-    two columns ("c1", v) and ("c2", v) per vertex v, each a fresh random
-    combination of the columns of v's in-neighbours.
+def sink_copies(d: Digraph,
+                rng: random.Random) -> dict[Hashable, list[tuple[Hashable, int]]]:
+    """Two sink copies ("c1", v) and ("c2", v) per vertex v of d, each a
+    fresh random combination [(u, x_u), ...] of the gammoid columns of v's
+    in-neighbours u.
 
-    The column stands for a sink copy of v, a new vertex with v's in-arcs and
-    no out-arcs. A path can end at the copy only through an in-neighbour u of
-    v that no other path uses, so X plus the copy is linked exactly when X
-    plus some u outside X is: the copy is freely placed on the flat spanned
-    by N(v), a principal extension, and a random combination of N(v)'s
-    columns represents it with probability 1 - O(n/p). The original columns
-    are kept as they are, so the elimination behind rep stays on |V(d)|
-    columns. Coefficients are drawn vertex by vertex in d's order, ("c1", v)
-    before ("c2", v), in-neighbours in d's order.
+    The combination stands for a sink copy of v, a new vertex with v's
+    in-arcs and no out-arcs. A path can end at the copy only through an
+    in-neighbour u of v that no other path uses, so X plus the copy is
+    linked exactly when X plus some u outside X is: the copy is freely
+    placed on the flat spanned by N(v), a principal extension, and a random
+    combination of N(v)'s columns represents it with probability
+    1 - O(n/p). Only the coefficients are drawn here, so the copies cost no
+    column of the elimination behind the gammoid, and a filter that needs
+    only their images under a linear map builds them at full width only if
+    it must (see repsets). Coefficients are drawn vertex by vertex in d's
+    order, ("c1", v) before ("c2", v), in-neighbours in d's order.
     """
-    cols = [rep.columns[v] for v in d.vertices]
-    preds: list[list[int]] = [[] for _ in d.vertices]
+    preds: list[list[Hashable]] = [[] for _ in d.vertices]
     for u, ws in enumerate(d.succ):
         for w in ws:
-            preds[w].append(u)
-    zero = [0] * (len(cols[0]) if cols else 0)
-    out = dict(rep.columns)
+            preds[w].append(d.vertices[u])
+    out = {}
     for v, us in zip(d.vertices, preds):
         for tag in ("c1", "c2"):
-            acc = zero
-            for u in us:
-                x = rng.randrange(1, PRIME)
-                acc = [a + x * c for a, c in zip(acc, cols[u])]
-            out[(tag, v)] = [a % PRIME for a in acc]
-    return MatroidRep(out)
+            out[(tag, v)] = [(u, rng.randrange(1, PRIME)) for u in us]
+    return out
+
+
+def add_sink_copies(rep: MatroidRep, d: Digraph,
+                    rng: random.Random) -> MatroidRep:
+    """rep, a representation of d's gammoid (ground: all of d's vertices),
+    extended by the columns of sink_copies(d, rng) built at full width by
+    fieldlinalg.combine, the routine the filter's fallback builds them
+    with. The original columns are kept as they are."""
+    width = len(next(iter(rep.columns.values()), ()))
+    return MatroidRep(rep.columns | combine(rep.columns, sink_copies(d, rng),
+                                            width))
 
 
 def uniform_rep(ground: Sequence[Hashable], k: int) -> MatroidRep:

@@ -11,14 +11,16 @@ a T-vertex is never pruned, and a chain with both ends in T keeps one
 vertex, so every T-vertex keeps degree two and a plain neighbour outside T.
 Then remove the S-edges from the core, bidirect what is left, and take the
 gammoid with sources T on the original vertices, extended by two sink copies
-per vertex (columns drawn from the span of its neighbours, see
-gammoid.add_sink_copies), and a rank-k uniform matroid with one column
-v-hat per vertex. A vertex v matters for some solution only if
-{v', v'', v-hat} extends to an independent set of the direct sum of the two,
-so a representative family of those triples pins down a set W with all of T
-such that the torso of the core onto W is an equivalent instance. The direct
-sum is never built: the filter gets each triple's gammoid columns and its
-uniform column as they are (see repsets). A vertex with at most one
+per vertex (random combinations of its in-neighbours' columns, see
+gammoid.sink_copies), and a rank-k uniform matroid with one column v-hat per
+vertex. A vertex v matters for some solution only if {v', v'', v-hat}
+extends to an independent set of the direct sum of the two, so a
+representative family of those triples pins down a set W with all of T such
+that the torso of the core onto W is an equivalent instance. The direct sum
+is never built: the filter gets the gammoid's columns, each sink copy as its
+drawn coefficients, and the uniform columns (see repsets). Its certificate
+projects each gammoid column once and combines the images, so the copies are
+built at full width only for the exact fallback. A vertex with at most one
 in-neighbour has sink copies that are multiples of one column, so its triple
 has a zero wedge, which the filter would drop; it is left out beforehand.
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Optional
 
-from .gammoid import (Digraph, add_sink_copies, bidirected, represent,
-                      uniform_rep)
+from .gammoid import Digraph, bidirected, represent, sink_copies, uniform_rep
 from .multigraph import Instance, Multigraph, check_normalized, torso
 from .repsets import representative_triples
 
@@ -133,14 +134,16 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
             f"cycle core broke the normalized shape: {exc}") from exc
 
     dg = bidirected(g, skip_edges=s)
-    m1 = add_sink_copies(represent(dg, t, dg.vertices, rng), dg, rng)
+    m1 = represent(dg, t, dg.vertices, rng)
+    copies = sink_copies(dg, rng)
     if m1.rank_of(t) != len(t):
         raise AssertionError("sources always link to themselves")
     m2 = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
 
     triples = [(("c1", v), ("c2", v), ("hat", v))
                for v in _wedge_candidates(dg)]
-    kept = representative_triples(m1.columns | m2.columns, len(t), k, triples)
+    kept = representative_triples(m1.columns | m2.columns, len(t), k, triples,
+                                  copies)
 
     w = frozenset(t) | frozenset(lab[1] for _, _, lab in kept)
     out = torso(g, w)

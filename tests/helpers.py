@@ -1,9 +1,14 @@
 """Shared builders and exhaustive reference oracles for the test suite."""
 import itertools
+import random
+from math import comb
 from typing import Optional
 
 import networkx as nx
 
+from sfvs_kernel import repsets, skernel
+from sfvs_kernel.fieldlinalg import wedge3_nonzero
+from sfvs_kernel.gammoid import MatroidRep, add_sink_copies
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance, is_solution,
                                      normalize)
@@ -190,6 +195,38 @@ def matroid_wide(n):
     return normalize(gnm(n, 3 * n // 2, n // 6 + 2, 3, 11)).instance
 
 
+def wide_core(n=10):
+    """Two S-edges hanging off a Moebius ladder on n vertices, at k = 1:
+    every ladder vertex has degree >= 3, so the cycle core keeps them all
+    and more than C(4,2) * 1 = 6 of them have a nonzero wedge."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, i + n // 2) for i in range(1, n // 2 + 1)]
+    g = Multigraph.from_edges(range(1, n + 1), edges)
+    s = []
+    for a, b, p in ((1, 4, n + 1), (6, 8, n + 3)):
+        g.add_edge(a, p)
+        s.append(g.add_edge(p, p + 1))
+        g.add_edge(p + 1, b)
+    return Instance(g, frozenset(s), 1)
+
+
+def petal_hub(petals, k=1):
+    """A K4 on 0, 1, 2 and 3, an S-edge hanging between 0 and 1 and one
+    between 2 and 3, and `petals` vertices each joined to the hub 0 by three
+    parallel edges. The petals and the S-endpoints have one in-neighbour
+    each once the S-edges are skipped, so only 0, 1, 2 and 3 are wedge
+    candidates, and 0 has petals + 4 in-neighbours."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(0, v) for v in range(8, 8 + petals) for _ in range(3)]
+    g = Multigraph.from_edges(range(8 + petals), edges)
+    s = []
+    for a, p, b in ((0, 4, 1), (2, 6, 3)):
+        g.add_edge(a, p)
+        s.append(g.add_edge(p, p + 1))
+        g.add_edge(p + 1, b)
+    return Instance(g, frozenset(s), k)
+
+
 def broken_core(g, t):
     """A stand-in for skernel.cycle_core whose smallest S-endpoint lost its
     plain edge."""
@@ -262,3 +299,50 @@ def wedge3_coordinates(a, b, c):
             minor = (ai * b[j] - a[j] * bi) % PRIME
             out += [minor * x % PRIME for x in c]
     return out
+
+
+# -- the matroid stage's filter, spied on ---------------------------------------
+
+
+def stage_filter_calls(monkeypatch, inst, seed):
+    """kernelize_by_s(inst, seed) with its filter spied on: the filter's
+    arguments and kept list, and its gammoid columns with the sink copies
+    built at full width by add_sink_copies from the same draws."""
+    seen = {}
+    draw, filt = skernel.sink_copies, skernel.representative_triples
+
+    def drawn(dg, rng):
+        seen["dg"], seen["state"] = dg, rng.getstate()
+        return draw(dg, rng)
+
+    def filtered(*args):
+        seen["args"], seen["kept"] = args, filt(*args)
+        return seen["kept"]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(skernel, "sink_copies", drawn)
+        mp.setattr(skernel, "representative_triples", filtered)
+        report = skernel.kernelize_by_s(inst, seed)
+    assert report.shortcut is None
+    assert report.kept_triples == len(seen["kept"])
+    columns, dg = seen["args"][0], seen["dg"]
+    rng = random.Random()
+    rng.setstate(seen["state"])
+    full = add_sink_copies(MatroidRep({v: columns[v] for v in dg.vertices}),
+                           dg, rng)
+    return seen["args"], seen["kept"], full.columns, dg
+
+
+def full_width_filter(columns, d1, d2, triples):
+    """The reference for combinations: the filter on vectors all built at
+    full width, with triples whose wedge is zero dropped by 2x2 minors
+    first, then the certificate on the rest, then the streaming filter if
+    the certificate failed."""
+    cols = [(columns[a], columns[b], columns[c]) for a, b, c in triples]
+    live = [i for i, (a, b, c) in enumerate(cols) if wedge3_nonzero(a, b, c)]
+    dim = comb(d1, 2) * d2
+    if len(live) <= dim and repsets._independent(
+            columns, {}, [triples[i] for i in live], d1, d2):
+        return [triples[i] for i in live]
+    return [triples[live[j]]
+            for j in repsets._eliminate([cols[i] for i in live], dim)]

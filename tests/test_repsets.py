@@ -5,17 +5,21 @@ from math import comb
 
 import pytest
 
-from helpers import (check_representative, matroid_wide, random_block_matroid,
-                     wedge3_coordinates)
+from helpers import (check_representative, matroid_wide, petal_hub,
+                     random_block_matroid, random_multigraph,
+                     stage_filter_calls, full_width_filter, wedge3_coordinates,
+                     wide_core)
 from sfvs_kernel import repsets
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
-                                     wedge3_nonzero)
-from sfvs_kernel.gammoid import uniform_rep
+                                     combine, wedge3_nonzero)
+from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
+                                 sink_copies, uniform_rep)
+from sfvs_kernel.generators import gnm
 from sfvs_kernel.instancefile import write_instance
-from sfvs_kernel.multigraph import Instance, Multigraph
+from sfvs_kernel.multigraph import Instance, Multigraph, normalize
 from sfvs_kernel.repsets import representative_triples
-from sfvs_kernel.skernel import kernelize_by_s
+from sfvs_kernel.skernel import _wedge_candidates, kernelize_by_s
 from sfvs_kernel.verify import run_sweep
 
 
@@ -172,7 +176,7 @@ def test_exact_filter_stops_once_the_basis_is_full(paths, monkeypatch):
     assert paths == Counter(exact=1)
 
 
-def test_each_kind_of_zero_wedge_is_dropped(paths):
+def test_each_kind_of_zero_wedge_is_dropped(paths, monkeypatch):
     # z0 is a zero column of the first block, x2 = 2*x0, y1 a zero column
     rep = block_rep([[1, 0, 2, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 1, 0]],
                     [[1, 0, 3]], ("x0", "x1", "x2", "x3", "z0"),
@@ -185,9 +189,24 @@ def test_each_kind_of_zero_wedge_is_dropped(paths):
     triples = [zero[0], live[0], zero[1], zero[2], live[1], zero[3], live[2]]
     for a, b, c in zero:
         assert not wedge3_nonzero(rep[a], rep[b], rep[c])
+    handed = []
+    eliminate = repsets._eliminate
+
+    def spied(cols, dim):
+        handed.append(cols)
+        return eliminate(cols, dim)
+
+    monkeypatch.setattr(repsets, "_eliminate", spied)
+    # 7 triples in dimension 3 skip the sketch; 3 of them, one with a zero
+    # wedge, project to a dependent family
     assert representative_triples(rep, 3, 1, triples) == live
+    assert representative_triples(rep, 3, 1,
+                                  [live[0], zero[3], live[1]]) == live[:2]
     assert exact_filter(rep, 3, 1, triples) == live
-    assert paths == Counter(certified=1)
+    assert paths == Counter(refuted=1, exact=2)
+    # the streaming filter gets only the nonzero wedges
+    assert handed == [[(rep[a], rep[b], rep[c]) for a, b, c in want]
+                      for want in (live, live[:2])]
 
 
 def test_same_triples_after_an_invertible_change_of_first_block_basis(paths):
@@ -285,7 +304,7 @@ def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
     for triples in bad:
         with pytest.raises(ValueError):
             representative_triples(rep, 2, 1, triples)
-    monkeypatch.setattr(repsets, "_independent", lambda cols: False)
+    monkeypatch.setattr(repsets, "_independent", lambda *args: False)
     for triples in bad:
         with pytest.raises(ValueError):
             representative_triples(rep, 2, 1, triples)
@@ -293,6 +312,15 @@ def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
 
 def random_vec(rng, n):
     return [rng.randrange(PRIME) for _ in range(n)]
+
+
+def certify(cols):
+    """The certificate on triples of explicit vectors."""
+    labels = [((i, 0), (i, 1), (i, 2)) for i in range(len(cols))]
+    columns = {lab: vec for tr, vecs in zip(labels, cols)
+               for lab, vec in zip(tr, vecs)}
+    d1, d2 = len(cols[0][0]), len(cols[0][2])
+    return repsets._independent(columns, {}, labels, d1, d2)
 
 
 def fresh_family(rng, d1, d2, m):
@@ -331,7 +359,7 @@ def test_dependent_families_never_certify():
         rng.shuffle(cols)
         assert all(wedge3_nonzero(*t) for t in cols)
         assert len(repsets._eliminate(cols, dim)) < len(cols) <= dim
-        assert not repsets._independent(cols)
+        assert not certify(cols)
     assert min(kinds.values()) > 40
 
 
@@ -344,7 +372,7 @@ def test_certificate_agrees_with_exact_filter_on_independent_families():
         m = rng.choice((1, dim, rng.randint(1, dim)))
         cols = fresh_family(rng, d1, d2, m)
         assert repsets._eliminate(cols, dim) == list(range(m))
-        assert repsets._independent(cols)
+        assert certify(cols)
 
 
 def test_star_family_is_refuted_and_filtered_exactly(paths):
@@ -427,26 +455,11 @@ def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
         return out.read_bytes()
 
     certified = {seed: kernelize(seed, "certified") for seed in ("1", "11")}
-    monkeypatch.setattr(repsets, "_independent", lambda cols: False)
+    monkeypatch.setattr(repsets, "_independent", lambda *args: False)
     for seed, want in certified.items():
         got = kernelize(seed, "exact")
         assert got.startswith(b"# outcome: reduced\n")
         assert got == want
-
-
-def wide_core(n=10):
-    """Two S-edges hanging off a Moebius ladder on n vertices, at k = 1:
-    every ladder vertex has degree >= 3, so the cycle core keeps them all
-    and more than C(4,2) * 1 = 6 of them have a nonzero wedge."""
-    edges = [(i, i % n + 1) for i in range(1, n + 1)]
-    edges += [(i, i + n // 2) for i in range(1, n // 2 + 1)]
-    g = Multigraph.from_edges(range(1, n + 1), edges)
-    s = []
-    for a, b, p in ((1, 4, n + 1), (6, 8, n + 3)):
-        g.add_edge(a, p)
-        s.append(g.add_edge(p, p + 1))
-        g.add_edge(p + 1, b)
-    return Instance(g, frozenset(s), 1)
 
 
 def test_default_sweep_runs_both_paths(paths):
@@ -457,3 +470,154 @@ def test_default_sweep_runs_both_paths(paths):
     report = kernelize_by_s(wide_core(), seed=0)
     assert report.n_core == report.n_input == 14
     assert paths["exact"] > paths["refuted"]   # some calls have m > dim
+
+
+# -- sink copies given as combinations -----------------------------------------
+
+
+def hub_with_parallel_copies():
+    """Two S-edges hanging off the hub 0 of a K4 on 0-3, at k = 1: every
+    path from T passes 0, so the sink copies of 1, 2 and 3 are parallel and
+    their wedges zero, which refutes the certificate."""
+    g = Multigraph.from_edges(range(8), [(a, b) for a in range(4)
+                                         for b in range(a + 1, 4)])
+    s = []
+    for p in (4, 6):
+        g.add_edge(0, p)
+        s.append(g.add_edge(p, p + 1))
+        g.add_edge(p + 1, 0)
+    return Instance(g, frozenset(s), 1)
+
+
+def leaf_ends():
+    """Two S-edges, each endpoint with one leaf as its plain neighbour, at
+    k = 1: the cycle core keeps the leaves, and no vertex has two
+    in-neighbours, so no triple is offered."""
+    g = Multigraph.from_edges(range(1, 9), [(3, 1), (2, 4), (7, 5), (6, 8)])
+    return Instance(g, frozenset([g.add_edge(1, 2), g.add_edge(5, 6)]), 1)
+
+
+def one_s_edge():
+    """|T| = 2: one S-edge between two vertices of a K4, at k = 0."""
+    g = Multigraph.from_edges(range(1, 7), [(a, b) for a in range(3, 7)
+                                            for b in range(a + 1, 7)])
+    g.add_edge(1, 3)
+    g.add_edge(2, 4)
+    return Instance(g, frozenset([g.add_edge(1, 2)]), 0)
+
+
+def test_combinations_keep_the_full_width_triples_in_the_matroid_stage(paths,
+                                                              monkeypatch):
+    """The kept list of the stage, its sink copies given as combinations,
+    equals that of the same draws' copies built at full width, and each
+    input takes the path it is built for."""
+    cases = {("matroid-wide", n, seed): (matroid_wide(n).drop_pairs(), seed)
+             for n in (90, 100, 105) for seed in range(1, 6)}
+    cases |= {
+        "m > dim": (wide_core(), 0),
+        "k = 0": (normalize(gnm(16, 24, 5, 1, 11)).instance.drop_pairs(), 0),
+        "|T| = 2": (one_s_edge(), 0),
+        "no candidates": (leaf_ends(), 0),
+        "hub": (petal_hub(40), 0),
+        "zero wedges": (hub_with_parallel_copies(), 0)}
+    settled, shape = {}, {}
+    for name, (inst, seed) in cases.items():
+        before = Counter(paths)
+        args, kept, full, dg = stage_filter_calls(monkeypatch, inst, seed)
+        settled[name] = paths - before
+        columns, d1, d2, offered, copies = args
+        assert kept == full_width_filter(columns | full, d1, d2, offered), name
+        shape[name] = (d1, d2, len(offered),
+                       max((len(copies[a]) for a, _, _ in offered), default=0))
+    for name in cases:
+        if name[0] == "matroid-wide":
+            assert settled[name] == Counter(certified=1)
+    assert settled["m > dim"] == Counter(exact=1)
+    assert shape["m > dim"][2] > comb(4, 2) * 1
+    # d2 = 0: the wedge space is {0}, so every offered triple is dropped
+    assert shape["k = 0"][1] == 0 and shape["k = 0"][2] > 0
+    assert shape["|T| = 2"][:2] == (2, 0) and shape["|T| = 2"][2] > 0
+    assert settled["no candidates"] == Counter(certified=1)
+    assert shape["no candidates"][2] == 0
+    d1, d2, _, indegree = shape["hub"]
+    assert settled["hub"] == Counter(certified=1) and indegree > d1 * d2
+    assert settled["zero wedges"] == Counter(refuted=1, exact=1)
+
+
+def test_combinations_keep_the_full_width_triples_on_random_digraphs(paths):
+    rng = random.Random(12)
+    sizes = Counter()
+    for _ in range(150):
+        g, _ = random_multigraph(rng, n_hi=9)
+        dg = bidirected(g)
+        t = rng.sample(dg.vertices, rng.randint(1, min(4, g.n)))
+        k = rng.randint(1, 3)
+        state = rng.getstate()
+        rep = represent(dg, t, dg.vertices, rng)
+        copies = sink_copies(dg, rng)
+        drawn = rng.getstate()
+        rng.setstate(state)
+        full = add_sink_copies(represent(dg, t, dg.vertices, rng), dg, rng)
+        assert rng.getstate() == drawn
+        hats = uniform_rep([("hat", v) for v in sorted(g.vertices())],
+                           k).columns
+        offered = [(("c1", v), ("c2", v), ("hat", v))
+                   for v in _wedge_candidates(dg)]
+        before = paths["certified"]
+        got = representative_triples(rep.columns | hats, len(t), k, offered,
+                                     copies)
+        if len(t) == 2 and paths["certified"] > before:
+            sizes["certified with |T| = 2"] += 1
+        assert got == full_width_filter(full.columns | hats, len(t), k, offered)
+    assert sizes["certified with |T| = 2"] > 5
+    assert paths["certified"] > 20 and paths["refuted"] > 5
+
+
+def test_certificate_images_are_projections_of_full_width_copies(
+        monkeypatch):
+    """The certificate's images of a triple's two sink copies are U times
+    the copies built at full width: on matroid-wide, and at a hub whose
+    in-degree, 304, is far above |T| * k = 4, so its slots must be sized for
+    304 products, not for |T| * k."""
+    wedge = IncrementalBasis.wedge
+    for inst in (matroid_wide(90).drop_pairs(), petal_hub(300)):
+        seen = []
+
+        def spied(self, a, b, c):
+            seen.append((self, a, b))
+            return wedge(self, a, b, c)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(IncrementalBasis, "wedge", spied)
+            args, kept, full, _ = stage_filter_calls(monkeypatch, inst, 7)
+        columns, d1, d2, offered, copies = args
+        assert kept == offered and len(seen) == len(offered)
+        for (basis, a, b), (c1, c2, _) in zip(seen, offered):
+            r = basis._d1
+            ref = IncrementalBasis.of_wedges(r, d2, terms=d1)
+            project = repsets._random_projector(
+                random.Random(repsets._SKETCH_SEED), d1, r, d2, ref)
+            for image, lab in ((a, c1), (b, c2)):
+                assert unstride(basis, image, r, d2) == \
+                    unstride(ref, project(full[lab]), r, d2)
+    assert max(len(terms) for terms in copies.values()) == 304 > d1 * d2
+
+
+def test_star_of_combinations_is_refuted_and_filtered_exactly(paths):
+    # each ("c1", t) is a multiple of v, so the 7 independent wedges share
+    # the factor v and project into (Uv)^F^r with r = 5, of dimension 4
+    rng = random.Random(91)
+    d1 = 8
+    columns = {"v": random_vec(rng, d1), "y": [1]}
+    columns |= {("u", i): random_vec(rng, d1) for i in range(10)}
+    combos = {}
+    for t in range(7):
+        combos["c1", t] = [("v", rng.randrange(1, PRIME))]
+        combos["c2", t] = [(("u", i), rng.randrange(1, PRIME))
+                           for i in rng.sample(range(10), 3)]
+    triples = [(("c1", t), ("c2", t), "y") for t in range(7)]
+    want = exact_filter(columns | combine(columns, combos, d1), d1, 1, triples)
+    assert want == triples
+    assert representative_triples(columns, d1, 1, triples, combos) == want
+    assert paths == Counter(refuted=1, exact=1)
+
