@@ -1,4 +1,5 @@
 """Matroid-stage kernel: shortcuts, cycle core, size bound, answer preservation."""
+import hashlib
 import os
 import random
 import subprocess
@@ -11,21 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (broken_core, matroid_wide, random_instance,
-                     random_multigraph, stage_filter_calls)
+                     random_multigraph, stage_filter_calls, wide_core)
 from sfvs_kernel import pipeline, skernel
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import combine, wedge3_nonzero
 from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
                                  uniform_rep)
-from sfvs_kernel.generators import gnm
-from sfvs_kernel.instancefile import serialize_instance, write_instance
+from sfvs_kernel.generators import gnm, planted
+from sfvs_kernel.instancefile import (parse_instance, serialize_instance,
+                                     write_instance)
 from sfvs_kernel.multigraph import (Instance, Multigraph, check_normalized,
                                     normalize)
-from sfvs_kernel.oracle import solve_exact
+from sfvs_kernel.oracle import feasible_z_greedy, solve_exact
+from sfvs_kernel.pipeline import run_matroid, run_rules
 from sfvs_kernel.repsets import representative_triples
 from sfvs_kernel.skernel import (_wedge_candidates, canonical_no,
                                  canonical_yes, cycle_core, kernelize_by_s)
-from sfvs_kernel.verify import run_sweep
+from sfvs_kernel.verify import run_sweep, sweep_instances
 
 LIFTED_CAP = 10 ** 6   # as in perfbench/checks.py: k <= 3 keeps the search small
 
@@ -403,3 +406,54 @@ def test_left_out_triples_have_zero_wedges_on_random_digraphs():
         every = [triple(v) for v in sorted(g.vertices())]
         left_total += check_left_out(columns, len(t), k, every, offered)[0]
     assert left_total > 100
+
+
+# -- the stage's output, pinned -------------------------------------------------
+
+
+def staged_planted(n=1000):
+    """What `sfvs kernelize --stage rules --provider greedy` writes for
+    planted(n, 3, 4, seed 11), read back as `--stage matroid` reads it: an
+    input whose certificate is refuted."""
+    rules = run_rules(planted(n, 3, 4, 11), provider=feasible_z_greedy)
+    assert rules.outcome == "reduced"
+    text = serialize_instance(rules.final.with_pairs())
+    return parse_instance(text).drop_pairs()
+
+
+def matroid_stage_cases(sweep_calls=20):
+    """(input, seed) for the matroid stage: matroid-wide at three seeds, the
+    staged planted(1000, 3, 4), wide_core() (more offered triples than the
+    wedge space dimension), and the first `sweep_calls` calls that the
+    random trials of `sfvs verify --trials 1000` make of the stage."""
+    cases = [(matroid_wide(n).drop_pairs(), seed) for n in (90, 100, 105)
+             for seed in (0, 3, 11)]
+    cases += [(staged_planted(), 0), (wide_core(), 0)]
+    calls = 0
+    for _, pinst, provider, iseed in sweep_instances(1000, 0, 10, 3):
+        rules = run_rules(pinst, provider=provider)
+        if rules.outcome == "reduced" and calls < sweep_calls:
+            cases.append((rules.final, iseed))
+            calls += 1
+    assert calls == sweep_calls
+    return cases
+
+
+def matroid_stage_digest() -> str:
+    """sha256 over the outcome and serialized kernel of `run_matroid` on
+    matroid_stage_cases()."""
+    h = hashlib.sha256()
+    for inst, seed in matroid_stage_cases():
+        rep = run_matroid(inst, seed=seed)
+        h.update(f"# outcome: {rep.outcome}\n".encode())
+        h.update(serialize_instance(rep.final.with_pairs()).encode())
+    return h.hexdigest()
+
+
+# as written while the stage still read the dual of every transversal matrix
+MATROID_STAGE_SHA256 = \
+    "3b2f338fffc827d32288f29b0f9510d101617539d028dd065450c5be96cf0de9"
+
+
+def test_matroid_stage_output_is_pinned():
+    assert matroid_stage_digest() == MATROID_STAGE_SHA256
