@@ -4,21 +4,22 @@ Every elimination in the package (the gammoid's dual, the representative-set
 filter, rank checks) runs in an IncrementalBasis, which packs each of its
 rows, and each vector it reduces, into one Python int with a fixed-width slot
 per coordinate, so a row update is one multiply and one add of whole ints.
-The basis also writes the filter's wedge products and reads a dual off its
-reduced rows, both in that packed form. A FieldMatrix, a list of rows of ints
-in [0, p), is the plain-matrix view (rref, rank) on the same basis; the
-pipeline no longer builds one. Everything is deterministic: elimination
-always picks the first nonzero entry as pivot. The prime is large enough that
-every randomized construction in one pipeline run stays far below any
-noticeable failure probability, and small enough that Python int products
-stay cheap.
+The basis also writes the filter's wedge products, and back-solves through
+its echelon rows the images of its null space's standard basis under a linear
+map (the dual's columns are the images under the identity), both in that
+packed form. A FieldMatrix, a list of rows of ints in [0, p), is the
+plain-matrix view (rref, rank) on the same basis; the pipeline no longer
+builds one. Everything is deterministic: elimination always picks the first
+nonzero entry as pivot. The prime is large enough that every randomized
+construction in one pipeline run stays far below any noticeable failure
+probability, and small enough that Python int products stay cheap.
 """
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
 from math import comb
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 PRIME = (1 << 61) - 1
 _BITS = PRIME.bit_length()
@@ -257,25 +258,55 @@ class IncrementalBasis:
                 blocks.append(bytes(size - lo))
         return self.canonical(int.from_bytes(b"".join(blocks), "big")) * c
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns of the stored rows, in increasing order."""
+        return tuple(self._pivots)
+
+    def null_images(self, free: Sequence[int],
+                    canonical: Callable[[int], int]) -> list[int]:
+        """The images, under one linear map L, of the columns of the null
+        space's standard basis N: the rows of N span the vectors orthogonal
+        to every stored row, and N has the unit vector e_i at the i-th free
+        column (no pivot there), so it is the matrix dual_columns reads.
+
+        free[i] is L e_i, packed in any layout whose slots are below p. The
+        result holds L N[:, q] for every column q, packed alike: free[i] at
+        the i-th free column, and at the pivot c of each stored row r,
+        bottom-up, minus the sum of r_j L N[:, j] over r's entries j > c,
+        since N r = 0. `canonical` brings each such sum below p; the layout
+        must fit a sum of n - 1 products of two values below p.
+        """
+        images = [0] * self._ncols
+        pivots = set(self._pivots)
+        units = iter(free)
+        for q in range(self._ncols):
+            if q not in pivots:
+                images[q] = next(units)
+        for c, row in zip(reversed(self._pivots), reversed(self._rows)):
+            entries = self._unpack(row)
+            images[c] = canonical(sum(
+                (PRIME - x) * images[j]
+                for j, x in enumerate(entries[c + 1:], c + 1) if x))
+        return images
+
     def dual_columns(self) -> list[list[int]]:
         """The columns of a matrix whose rows are a basis of the vectors
         orthogonal to every stored row: the dual matroid's representation
         when the rows added were those of a full-row-rank matrix.
 
-        The stored rows are first brought to reduced row echelon form. Then
-        free column q_i (no pivot there) is the unit vector e_i, and pivot
-        column c of row r is minus r's entries at the free columns.
+        Free column q_i (no pivot there) is the unit vector e_i, and pivot
+        column c of row r is minus r's entries at the free columns once the
+        rows are in reduced row echelon form: null_images with L the
+        identity, the unit vectors packed in a layout of their own.
         """
-        self._back_substitute()
-        pivots = set(self._pivots)
-        free = [q for q in range(self._ncols) if q not in pivots]
-        cols: list[list[int]] = [[0] * len(free) for _ in range(self._ncols)]
-        for i, q in enumerate(free):
-            cols[q][i] = 1
-        for c, row in zip(self._pivots, self._rows):
-            entries = self._unpack(row)
-            cols[c] = [(PRIME - entries[q]) % PRIME for q in free]
-        return cols
+        nfree = self._ncols - len(self)
+        layout = IncrementalBasis()
+        layout._layout(nfree, self._ncols)
+        units = [layout.pack([int(i == j) for j in range(nfree)])
+                 for i in range(nfree)]
+        return [layout._unpack(v)
+                for v in self.null_images(units, layout.canonical)]
 
     def _back_substitute(self) -> None:
         """Reduce each stored row, bottom-up, against the rows below it."""

@@ -9,8 +9,15 @@ and an out-node, kept over integer vertex indices as flat arc lists.
 The representation goes through the classical dual-of-transversal
 construction: build the bipartite link graph (arc (u, w) gives an edge from u
 to the copy of w; every non-source also gets an edge to its own copy), fill a
-random matrix over F_p on its support, and dualize. One row reduction of that
-matrix, in packed rows, gives both its full-rank test and the dual.
+random matrix A over F_p on its support, and take its null space. A's rows are
+reduced once, in packed rows, to echelon form with the sources' columns last
+(transversal_form). The form serves three ends. The sources are independent
+in the gammoid's representation exactly when no pivot falls in a source's
+column. The images of the null space's standard basis [-R | I] under
+a small random map are back-solved through the echelon rows, which is all the
+certificate of the representative-set filter reads (see repsets). Only when
+that certificate fails is the null space written out, in a sparser basis from
+a second reduction of the same rows (TransversalForm.columns).
 
 Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
 added to the digraph: sink_copies draws each as a random combination of
@@ -23,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .fieldlinalg import PRIME, IncrementalBasis, combine
 from .multigraph import Multigraph
@@ -161,49 +168,131 @@ class MatroidRep:
         return self.rank_of(labels) == len(labels)
 
 
-def represent(d: Digraph, sources: Iterable[Hashable],
-              ground: Sequence[Hashable], rng: random.Random) -> MatroidRep:
-    """Random representation of the gammoid on `ground`; sound with probability
+@dataclass
+class TransversalForm:
+    """A gammoid's random transversal matrix A in packed echelon form.
+
+    `rows` holds A's drawn entries, row by row as (vertex index, value),
+    and `degree` the number of entries in each vertex's column. `basis`
+    holds A's rows reduced to echelon form with vertex v at column slot[v]:
+    the non-sources first, in ascending order of degree, which keeps the
+    rows sparse for longer, then the sources, the last `sources` slots.
+
+    A's null space represents the gammoid. images() sketches the columns of
+    its standard basis N (see IncrementalBasis.null_images) without
+    writing N out. The sources are independent there, by duality, exactly
+    when the square block of A at the non-sources is nonsingular; with the
+    sources last, that is exactly when every pivot falls in a non-source
+    slot (links_sources). Then the free slots are the sources', and N is
+    [-R | I] in standard form, one coordinate per source.
+
+    columns() writes the null space out in another basis, the dual of the
+    same rows eliminated with every column in ascending order of degree:
+    its free columns fall mostly on high-degree vertices, and its columns
+    are sparse where N's are full, which the exact filter's cost grows
+    with. Both bases represent the same matroid.
+    """
+    basis: IncrementalBasis
+    slot: dict[Hashable, int]
+    sources: int
+    rows: list[list[tuple[int, int]]]
+    degree: list[int]
+
+    @property
+    def dim(self) -> int:
+        """The length of each column: the number of free slots."""
+        return len(self.slot) - len(self.basis)
+
+    @property
+    def links_sources(self) -> bool:
+        pivots = self.basis.pivots
+        return not pivots or pivots[-1] < len(self.slot) - self.sources
+
+    def __contains__(self, label: Hashable) -> bool:
+        return label in self.slot
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def images(self, free: Sequence[int],
+               canonical: Callable[[int], int]) -> dict[Hashable, int]:
+        """L N[:, slot[v]] for every vertex v, packed as free[i] = L e_i is,
+        the i-th free slot first; sums of up to len(self) products."""
+        images = self.basis.null_images(free, canonical)
+        return {v: images[q] for v, q in self.slot.items()}
+
+    def columns(self) -> dict[Hashable, list[int]]:
+        """The gammoid's column of every vertex, in the order of the
+        digraph, read off the rows eliminated in ascending order of
+        degree."""
+        slot = _slots(sorted(range(len(self.slot)),
+                             key=self.degree.__getitem__))
+        dual = _eliminated(self.rows, slot).dual_columns()
+        return {v: dual[slot[i]] for i, v in enumerate(self.slot)}
+
+
+def _slots(order: Sequence[int]) -> list[int]:
+    """slot[u] = the position of u in order."""
+    slot = [0] * len(order)
+    for q, u in enumerate(order):
+        slot[u] = q
+    return slot
+
+
+def _eliminated(rows: Sequence[Sequence[tuple[int, int]]],
+                slot: Sequence[int]) -> IncrementalBasis:
+    """The rows, entries (u, x) placed at slot[u], added to a basis."""
+    basis = IncrementalBasis(len(slot))
+    for entries in rows:
+        basis.add_packed(basis.pack_sparse([(slot[u], x) for u, x in entries]))
+    return basis
+
+
+def transversal_form(d: Digraph, sources: Iterable[Hashable],
+                     rng: random.Random) -> TransversalForm:
+    """The packed echelon form of a random transversal matrix behind d's
+    gammoid with these sources; it represents the gammoid with probability
     1 - O(poly/p) over the rng draws.
 
-    The transversal matrix has a row per non-source w, with random nonzero
-    entries at w's own column and its in-neighbours' columns, drawn row by
-    row in vertex order and, within a row, in column order. Each row is
-    packed straight from those entries into an IncrementalBasis, and the
-    dual's columns are read off its reduced rows. The basis holds the
-    columns in ascending order of their number of entries, which keeps the
-    rows sparse for longer; another order gives another basis of the same
-    null space, columns changed by one invertible matrix, which represents
-    the same matroid.
+    The matrix has a row per non-source w, with random nonzero entries at
+    w's own column and its in-neighbours' columns, drawn row by row in
+    vertex order and, within a row, in column order; if the rows are
+    dependent, all of them are drawn again, up to four times.
     """
     sources = set(sources)
-    if not sources <= d.index.keys() or not set(ground) <= d.index.keys():
-        raise ValueError("sources and ground must be vertices of the digraph")
+    if not sources <= d.index.keys():
+        raise ValueError("sources must be vertices of the digraph")
     n = len(d.vertices)
     support = {w: {w} for w, v in enumerate(d.vertices) if v not in sources}
     for u, ws in enumerate(d.succ):
         for w in ws:
             if w in support:
                 support[w].add(u)
-    rows = [sorted(cols) for cols in support.values()]
+    cols = [sorted(us) for us in support.values()]
     degree = [0] * n
-    for cols in rows:
-        for u in cols:
+    for us in cols:
+        for u in us:
             degree[u] += 1
-    slot = [0] * n
-    for q, u in enumerate(sorted(range(n), key=degree.__getitem__)):
-        slot[u] = q
-
+    slot = _slots(sorted(range(n), key=lambda u: (u not in support,
+                                                  degree[u])))
     for _ in range(4):
-        basis = IncrementalBasis(n)
-        for cols in rows:
-            basis.add_packed(basis.pack_sparse(
-                [(slot[u], rng.randrange(1, PRIME)) for u in cols]))
-        if len(basis) < len(rows):      # not of full row rank: draw again
-            continue
-        dual = basis.dual_columns()
-        return MatroidRep({g: dual[slot[d.index[g]]] for g in ground})
+        rows = [[(u, rng.randrange(1, PRIME)) for u in us] for us in cols]
+        basis = _eliminated(rows, slot)
+        if len(basis) == len(rows):
+            return TransversalForm(basis, dict(zip(d.vertices, slot)),
+                                   n - len(rows), rows, degree)
     raise AssertionError("transversal matrix failed to reach full row rank")
+
+
+def represent(d: Digraph, sources: Iterable[Hashable],
+              ground: Sequence[Hashable], rng: random.Random) -> MatroidRep:
+    """Random representation of the gammoid on `ground`: the columns of
+    transversal_form(d, sources, rng) written out. Sound with probability
+    1 - O(poly/p) over the rng draws."""
+    if not set(ground) <= d.index.keys():
+        raise ValueError("ground must be vertices of the digraph")
+    columns = transversal_form(d, sources, rng).columns()
+    return MatroidRep({g: columns[g] for g in ground})
 
 
 def bidirected(g: Multigraph, skip_edges: Iterable[int] = ()) -> Digraph:

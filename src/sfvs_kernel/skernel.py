@@ -16,11 +16,16 @@ gammoid.sink_copies), and a rank-k uniform matroid with one column v-hat per
 vertex. A vertex v matters for some solution only if {v', v'', v-hat}
 extends to an independent set of the direct sum of the two, so a
 representative family of those triples pins down a set W with all of T such
-that the torso of the core onto W is an equivalent instance. The direct sum
-is never built: the filter gets the gammoid's columns, each sink copy as its
-drawn coefficients, and the uniform columns (see repsets). Its certificate
-projects each gammoid column once and combines the images, so the copies are
-built at full width only for the exact fallback. A vertex with at most one
+that the torso of the core onto W is an equivalent instance. The gammoid is
+held as the echelon form of its transversal matrix, with T's columns last
+(gammoid.transversal_form): T must be independent in it, since the sources
+always link to themselves, and that holds exactly when no pivot falls in a
+column of T, which is checked on every call. The direct sum is never built:
+the filter gets the transversal form, each sink copy as its drawn
+coefficients, and the uniform columns (see repsets). Its certificate reads
+only the images of the gammoid's columns under a small random map,
+back-solved through the echelon rows, so the dual is read, and the copies
+built at full width, only for the exact fallback. A vertex with at most one
 in-neighbour has sink copies that are multiples of one column, so its triple
 has a zero wedge, which the filter would drop; it is left out beforehand.
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
@@ -36,7 +41,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Optional
 
-from .gammoid import Digraph, bidirected, represent, sink_copies, uniform_rep
+# represent: no caller here, kept because perfbench/layers.py probes
+# skernel.represent
+from .gammoid import (Digraph, bidirected, represent, sink_copies,
+                      transversal_form, uniform_rep)
 from .multigraph import Instance, Multigraph, check_normalized, torso
 from .repsets import representative_triples
 
@@ -50,6 +58,9 @@ class KernelReport:
     shortcut: Optional[str]
     n_input: int              # vertices handed to the stage
     n_core: int               # vertices left by cycle_core, before the gammoid
+    # how the filter settled: "certified", "refuted" or "no-sketch" (see
+    # repsets.Kept); None on a shortcut
+    filter_path: Optional[str] = None
 
 
 def canonical_yes(k: int) -> Instance:
@@ -134,16 +145,16 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
             f"cycle core broke the normalized shape: {exc}") from exc
 
     dg = bidirected(g, skip_edges=s)
-    m1 = represent(dg, t, dg.vertices, rng)
+    form = transversal_form(dg, t, rng)
     copies = sink_copies(dg, rng)
-    if m1.rank_of(t) != len(t):
+    if not form.links_sources:
         raise AssertionError("sources always link to themselves")
-    m2 = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
+    hats = uniform_rep([("hat", v) for v in sorted(g.vertices())], k)
 
     triples = [(("c1", v), ("c2", v), ("hat", v))
                for v in _wedge_candidates(dg)]
-    kept = representative_triples(m1.columns | m2.columns, len(t), k, triples,
-                                  copies)
+    kept = representative_triples(hats.columns, len(t), k, triples, copies,
+                                  form)
 
     w = frozenset(t) | frozenset(lab[1] for _, _, lab in kept)
     out = torso(g, w)
@@ -152,4 +163,4 @@ def kernelize_by_s(inst: Instance, seed: int) -> KernelReport:
     if out.n > comb(len(t), 2) * k + len(t):
         raise AssertionError("kernel exceeds C(|T|,2)*k + |T| vertices")
     return KernelReport(Instance(out, s, k), w, tuple(t), len(kept), None,
-                        inst.graph.n, g.n)
+                        inst.graph.n, g.n, kept.path)

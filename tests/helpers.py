@@ -7,7 +7,7 @@ from typing import Optional
 import networkx as nx
 
 from sfvs_kernel import repsets, skernel
-from sfvs_kernel.fieldlinalg import wedge3_nonzero
+from sfvs_kernel.fieldlinalg import PRIME, wedge3_nonzero
 from sfvs_kernel.gammoid import MatroidRep, add_sink_copies
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance, is_solution,
@@ -301,13 +301,67 @@ def wedge3_coordinates(a, b, c):
     return out
 
 
+def transversal_rows(d, sources, rng):
+    """gammoid.transversal_form's matrix as first written: a row per
+    non-source and a column per vertex, random nonzero entries at the row's
+    own column and its in-neighbours' columns, drawn in sorted (row, column)
+    order."""
+    non_sources = [i for i, v in enumerate(d.vertices) if v not in sources]
+    row_of = {v: r for r, v in enumerate(non_sources)}
+    support = {(r, v) for r, v in enumerate(non_sources)}
+    support |= {(row_of[w], u) for u, ws in enumerate(d.succ)
+                for w in ws if w in row_of}
+    rows = [[0] * len(d.vertices) for _ in non_sources]
+    for i, j in sorted(support):
+        rows[i][j] = rng.randrange(1, PRIME)
+    return rows
+
+
+def unstride(basis, v, r, d2):
+    """The r coordinates of v packed at stride d2."""
+    w = basis.width
+    buf = v.to_bytes(w * r * d2, "big")
+    return [int.from_bytes(buf[(i + 1) * d2 * w - w:(i + 1) * d2 * w], "big")
+            for i in range(r)]
+
+
+class Scripted(random.Random):
+    """An rng whose randrange returns `values` in turn, then 1."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def randrange(self, *args):
+        return next(self.values, 1)
+
+
+def singular_block():
+    """Two S-edges 3-4 and 5-6 whose plain ends meet at 1 and 2, and a
+    plain edge 1-2, at k = 1, with the scripted draws that make the
+    non-source block [[1, 1], [1, 1]] of its transversal matrix singular
+    while the matrix keeps full row rank: rows 1 and 2 get entries at
+    columns (1, 2, 3, 5) and (1, 2, 4, 6)."""
+    g = Multigraph.from_edges([], [(1, 3), (1, 5), (2, 4), (2, 6), (1, 2)])
+    s = frozenset([g.add_edge(3, 4), g.add_edge(5, 6)])
+    return Instance(g, s, 1), [1, 1, 2, 3, 1, 1, 4, 5]
+
+
+def standard_columns(form):
+    """The columns of the standard basis N of a TransversalForm's null
+    space, the vectors its images() sketches, by vertex."""
+    dual = form.basis.dual_columns()
+    return {v: dual[q] for v, q in form.slot.items()}
+
+
 # -- the matroid stage's filter, spied on ---------------------------------------
 
 
 def stage_filter_calls(monkeypatch, inst, seed):
     """kernelize_by_s(inst, seed) with its filter spied on: the filter's
-    arguments and kept list, and its gammoid columns with the sink copies
-    built at full width by add_sink_copies from the same draws."""
+    arguments and kept list, and its gammoid columns, read in full off the
+    filter's transversal form, with the sink copies built at full width by
+    add_sink_copies from the same draws."""
     seen = {}
     draw, filt = skernel.sink_copies, skernel.representative_triples
 
@@ -325,11 +379,11 @@ def stage_filter_calls(monkeypatch, inst, seed):
         report = skernel.kernelize_by_s(inst, seed)
     assert report.shortcut is None
     assert report.kept_triples == len(seen["kept"])
-    columns, dg = seen["args"][0], seen["dg"]
+    assert report.filter_path == seen["kept"].path
+    form, dg = seen["args"][5], seen["dg"]
     rng = random.Random()
     rng.setstate(seen["state"])
-    full = add_sink_copies(MatroidRep({v: columns[v] for v in dg.vertices}),
-                           dg, rng)
+    full = add_sink_copies(MatroidRep(form.columns()), dg, rng)
     return seen["args"], seen["kept"], full.columns, dg
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dualize, matroid_wide, wedge3_coordinates
+from helpers import (dualize, matroid_wide, transversal_rows,
+                     wedge3_coordinates)
 from sfvs_kernel import gammoid
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
                                      inverse)
@@ -399,12 +400,14 @@ def assert_rref_matches_ref(m):
 
 
 def test_packed_rref_on_the_matroid_wide_transversal_matrix(monkeypatch):
-    """The matrix gammoid.represent eliminates for matroid_wide(90), in the
-    column order of its basis: the reduced rows and pivots it reaches and
-    the dual it reads off them, against ref_rref and ref_dual."""
+    """The matrix gammoid.transversal_form eliminates for matroid_wide(90),
+    in the column order of its basis, caught where the certificate reads
+    its null images: the echelon rows and pivots it reaches, those rows
+    back-substituted, and the dual read off them, against ref_rref and
+    ref_dual."""
     rows, seen = {}, []
     pack_sparse = IncrementalBasis.pack_sparse
-    dual_columns = IncrementalBasis.dual_columns
+    null_images = IncrementalBasis.null_images
 
     def spy_pack(self, entries):
         entries = list(entries)
@@ -414,36 +417,24 @@ def test_packed_rref_on_the_matroid_wide_transversal_matrix(monkeypatch):
         rows.setdefault(id(self), []).append(row)
         return pack_sparse(self, entries)
 
-    def spy_dual(self):
-        cols = dual_columns(self)
-        seen.append((FieldMatrix(rows[id(self)], self._ncols), self, cols))
-        return cols
+    def spy_null(self, free, canonical):
+        seen.append((FieldMatrix(rows[id(self)], self._ncols), self))
+        return null_images(self, free, canonical)
 
-    monkeypatch.setattr(IncrementalBasis, "pack_sparse", spy_pack)
-    monkeypatch.setattr(IncrementalBasis, "dual_columns", spy_dual)
-    kernelize_by_s(matroid_wide(90).drop_pairs(), seed=0)
-    assert seen and all(m.nrows >= 40 and m.ncols > m.nrows for m, _, _ in seen)
-    for m, basis, cols in seen:
+    with monkeypatch.context() as mp:
+        mp.setattr(IncrementalBasis, "pack_sparse", spy_pack)
+        mp.setattr(IncrementalBasis, "null_images", spy_null)
+        report = kernelize_by_s(matroid_wide(90).drop_pairs(), seed=0)
+    assert report.filter_path == "certified"
+    assert seen and all(m.nrows >= 40 and m.ncols > m.nrows for m, _ in seen)
+    for m, basis in seen:
         assert len(assert_rref_matches_ref(m)) == m.nrows
         want_rows, want_pivots = ref_rref(m.rows, m.ncols)
         assert basis._pivots == want_pivots
-        assert [basis._unpack(row) for row in basis._rows] == want_rows
+        cols = basis.dual_columns()
         assert [list(r) for r in zip(*cols)] == ref_dual(m.rows, m.ncols)
-
-
-def transversal_rows(d, sources, rng):
-    """gammoid.represent's matrix as first written: a row per non-source
-    and a column per vertex, random nonzero entries at the row's own column
-    and its in-neighbours' columns, drawn in sorted (row, column) order."""
-    non_sources = [i for i, v in enumerate(d.vertices) if v not in sources]
-    row_of = {v: r for r, v in enumerate(non_sources)}
-    support = {(r, v) for r, v in enumerate(non_sources)}
-    support |= {(row_of[w], u) for u, ws in enumerate(d.succ)
-                for w in ws if w in row_of}
-    rows = [[0] * len(d.vertices) for _ in non_sources]
-    for i, j in sorted(support):
-        rows[i][j] = rng.randrange(1, PRIME)
-    return rows
+        basis._back_substitute()
+        assert [basis._unpack(row) for row in basis._rows] == want_rows
 
 
 def same_row_space(x, y, ncols):

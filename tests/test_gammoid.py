@@ -2,15 +2,19 @@
 uniform matroid."""
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 from networkx.algorithms.connectivity import local_node_connectivity
 
-from helpers import random_multigraph
+from helpers import (Scripted, random_multigraph, singular_block,
+                     standard_columns, transversal_rows, unstride)
+from sfvs_kernel import repsets
 from sfvs_kernel.gammoid import (Digraph, add_sink_copies, bidirected,
-                                 disjoint_paths, linked, represent, uniform_rep)
-from sfvs_kernel.fieldlinalg import PRIME
+                                 disjoint_paths, linked, represent,
+                                 transversal_form, uniform_rep)
+from sfvs_kernel.fieldlinalg import PRIME, FieldMatrix, IncrementalBasis
 from sfvs_kernel.multigraph import Multigraph
 
 
@@ -256,3 +260,95 @@ def test_uniform_rep_rank_profile():
     for triple in itertools.combinations(m.columns, 3):
         assert m.rank_of(triple) == 2
     assert m.rank_of(["e0"]) == 1
+
+
+# -- the transversal form: the sources' pivot test and the null images --------
+
+
+class Coarse(random.Random):
+    """An rng whose randrange draws from {1, ..., top} only, so the
+    non-source block of a transversal matrix is now and then singular."""
+
+    def __init__(self, seed, top):
+        super().__init__(seed)
+        self.top = top
+
+    def randrange(self, *args):
+        return super().randrange(1, self.top + 1)
+
+
+def test_pivot_test_agrees_with_the_rank_of_the_sources():
+    """No pivot in a source slot exactly when the sources are independent
+    in the representation read off the same draws."""
+    rng = random.Random(51)
+    seen = Counter()
+    for _ in range(1200):
+        # a bidirected edge between two non-sources is a 2 x 2 block of ones
+        d = random_digraph(rng) if rng.random() < 0.5 else \
+            bidirected(random_multigraph(rng, n_hi=8)[0])
+        sources = rng.sample(d.vertices, rng.randint(0, len(d.vertices)))
+        seed, top = rng.randrange(1 << 30), rng.choice((1, 1, 1, 3, PRIME))
+        draws = Coarse(seed, top) if top < PRIME else random.Random(seed)
+        state = draws.getstate()
+        try:
+            form = transversal_form(d, sources, draws)
+        except AssertionError:      # four rank-deficient draws in a row
+            seen["deficient"] += 1
+            continue
+        draws.setstate(state)
+        rep = represent(d, sources, d.vertices, draws)
+        independent = rep.rank_of(sources) == len(sources)
+        assert form.links_sources == independent, (d, sources)
+        assert form.dim == len(sources)
+        seen[independent] += 1
+    assert seen[True] > 500 and seen[False] > 30, seen
+
+
+def test_singular_source_block_fails_the_pivot_test():
+    inst, values = singular_block()
+    d = bidirected(inst.graph, skip_edges=inst.s)
+    t = [3, 4, 5, 6]
+    form = transversal_form(d, t, Scripted(values))
+    assert len(form.basis) == 2 and not form.links_sources
+    assert represent(d, t, d.vertices, Scripted(values)).rank_of(t) < 4
+    assert transversal_form(d, t, random.Random(0)).links_sources
+
+
+def test_null_images_are_sketches_of_the_dual():
+    """Each back-solved vector is in the null space of the transversal
+    matrix drawn from the same rng state, and the image of every vertex is
+    U times its column of the standard basis N read off the same echelon
+    rows, for U drawn as the filter's certificate draws it. represent's
+    dual, read off the same draws in another column order, spans the same
+    space as N."""
+    rng = random.Random(52)
+    solved = 0
+    for _ in range(150):
+        d = random_digraph(rng, n_hi=10)
+        sources = rng.sample(d.vertices, rng.randint(0, len(d.vertices)))
+        state = rng.getstate()
+        form = transversal_form(d, sources, rng)
+        rng.setstate(state)
+        a = transversal_rows(d, set(sources), rng)
+        rng.setstate(state)
+        dual = represent(d, sources, d.vertices, rng).columns
+        n_cols = standard_columns(form)
+        r, d2 = rng.randint(1, 5), rng.randint(1, 3)
+        basis = IncrementalBasis.of_wedges(r, d2, terms=len(form) + form.dim)
+        units = repsets._random_units(random.Random(repsets._SKETCH_SEED),
+                                      form.dim, r, d2, basis)
+        images = form.images(units, basis.canonical)
+        assert list(images) == list(d.vertices)
+        x = [unstride(basis, images[v], r, d2) for v in d.vertices]
+        for i in range(r):
+            for row in a:
+                assert sum(e * xv[i] for e, xv in zip(row, x)) % PRIME == 0
+            solved += any(xv[i] for xv in x)
+        for v in d.vertices:
+            assert images[v] == repsets._project(units, n_cols[v], basis)
+        rows = [list(r) for r in zip(*(n_cols[v] for v in d.vertices))]
+        rows2 = [list(r) for r in zip(*(dual[v] for v in d.vertices))]
+        n = len(d.vertices)
+        assert FieldMatrix(rows, n).rank() == FieldMatrix(rows2, n).rank() \
+            == FieldMatrix(rows + rows2, n).rank() == form.dim
+    assert solved > 200

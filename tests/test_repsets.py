@@ -7,9 +7,9 @@ import pytest
 
 from helpers import (check_representative, matroid_wide, petal_hub,
                      random_block_matroid, random_multigraph,
-                     stage_filter_calls, full_width_filter, wedge3_coordinates,
-                     wide_core)
-from sfvs_kernel import repsets
+                     stage_filter_calls, standard_columns, full_width_filter,
+                     unstride, wedge3_coordinates, wide_core)
+from sfvs_kernel import pipeline, repsets
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
                                      combine, wedge3_nonzero)
@@ -235,7 +235,11 @@ def test_projector_images_are_packed_dot_products():
     rng = random.Random(89)
     for d1, r, d2 in ((5, 2, 1), (9, 4, 3), (40, 8, 3), (64, 2, 1)):
         basis = IncrementalBasis.of_wedges(r, d2, terms=d1)
-        project = repsets._random_projector(rng, d1, r, d2, basis)
+        units = repsets._random_units(rng, d1, r, d2, basis)
+
+        def project(v):
+            return repsets._project(units, v, basis)
+
         u = [unstride(basis, project([int(i == j) for i in range(d1)]), r, d2)
              for j in range(d1)]
         for _ in range(5):
@@ -251,14 +255,6 @@ def test_projector_images_are_packed_dot_products():
             lists = [unstride(basis, v, r, d2) for v in (ua, ub)]
             assert basis.canonical(basis.wedge(ua, ub, basis.pack(c))) == \
                 basis.pack(wedge3_coordinates(*lists, c))
-
-
-def unstride(basis, v, r, d2):
-    """The r coordinates of v packed at stride d2."""
-    w = basis.width
-    buf = v.to_bytes(w * r * d2, "big")
-    return [int.from_bytes(buf[(i + 1) * d2 * w - w:(i + 1) * d2 * w], "big")
-            for i in range(r)]
 
 
 def test_zero_wedge_predicate_matches_coordinates():
@@ -433,15 +429,18 @@ def test_vectors_are_reduced_mod_p_on_entry(paths, path):
 # -- the certificate inside the matroid stage ----------------------------------
 
 
-def test_matroid_wide_inputs_need_no_elimination(paths, monkeypatch):
+def test_matroid_wide_inputs_need_no_elimination(monkeypatch):
+    """The certified path reads no dual and runs no exact filter: it
+    sketches the null space of the transversal matrix instead."""
     def refuse(*args):
-        raise AssertionError("the exact filter ran")
+        raise AssertionError("the dual was read or the exact filter ran")
 
     monkeypatch.setattr(repsets, "_eliminate", refuse)
+    monkeypatch.setattr(IncrementalBasis, "dual_columns", refuse)
     for n, kept in ((90, 47), (100, 55), (105, 54)):
         report = kernelize_by_s(matroid_wide(n).drop_pairs(), seed=3)
         assert report.shortcut is None and report.kept_triples == kept
-    assert paths["certified"] == 3
+        assert report.filter_path == "certified"
 
 
 def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
@@ -462,14 +461,22 @@ def test_failed_certificate_writes_the_same_bytes(tmp_path, monkeypatch):
         assert got == want
 
 
-def test_default_sweep_runs_both_paths(paths):
+def test_default_sweep_runs_both_paths(monkeypatch):
+    settled = Counter()
+
+    def recorded(inst, seed):
+        report = kernelize_by_s(inst, seed)
+        settled[report.filter_path] += 1
+        return report
+
+    monkeypatch.setattr(pipeline, "kernelize_by_s", recorded)
     assert run_sweep().ok
-    assert paths["certified"] > 0
-    assert paths["refuted"] > 0
+    assert settled["certified"] > 0
+    assert settled["refuted"] > 0
     # the sweep's cores are small, so a call with m > dim comes from here
     report = kernelize_by_s(wide_core(), seed=0)
     assert report.n_core == report.n_input == 14
-    assert paths["exact"] > paths["refuted"]   # some calls have m > dim
+    assert report.filter_path == "no-sketch"
 
 
 # -- sink copies given as combinations -----------------------------------------
@@ -524,24 +531,25 @@ def test_combinations_keep_the_full_width_triples_in_the_matroid_stage(paths,
     for name, (inst, seed) in cases.items():
         before = Counter(paths)
         args, kept, full, dg = stage_filter_calls(monkeypatch, inst, seed)
-        settled[name] = paths - before
-        columns, d1, d2, offered, copies = args
+        settled[name] = (kept.path, paths - before)
+        columns, d1, d2, offered, copies, _ = args
         assert kept == full_width_filter(columns | full, d1, d2, offered), name
         shape[name] = (d1, d2, len(offered),
                        max((len(copies[a]) for a, _, _ in offered), default=0))
+    certified = ("certified", Counter(certified=1))
     for name in cases:
         if name[0] == "matroid-wide":
-            assert settled[name] == Counter(certified=1)
-    assert settled["m > dim"] == Counter(exact=1)
+            assert settled[name] == certified
+    assert settled["m > dim"] == ("no-sketch", Counter(exact=1))
     assert shape["m > dim"][2] > comb(4, 2) * 1
     # d2 = 0: the wedge space is {0}, so every offered triple is dropped
     assert shape["k = 0"][1] == 0 and shape["k = 0"][2] > 0
     assert shape["|T| = 2"][:2] == (2, 0) and shape["|T| = 2"][2] > 0
-    assert settled["no candidates"] == Counter(certified=1)
+    assert settled["no candidates"] == certified
     assert shape["no candidates"][2] == 0
     d1, d2, _, indegree = shape["hub"]
-    assert settled["hub"] == Counter(certified=1) and indegree > d1 * d2
-    assert settled["zero wedges"] == Counter(refuted=1, exact=1)
+    assert settled["hub"] == certified and indegree > d1 * d2
+    assert settled["zero wedges"] == ("refuted", Counter(refuted=1, exact=1))
 
 
 def test_combinations_keep_the_full_width_triples_on_random_digraphs(paths):
@@ -576,7 +584,8 @@ def test_combinations_keep_the_full_width_triples_on_random_digraphs(paths):
 def test_certificate_images_are_projections_of_full_width_copies(
         monkeypatch):
     """The certificate's images of a triple's two sink copies are U times
-    the copies built at full width: on matroid-wide, and at a hub whose
+    the copies built at full width from the standard basis that the
+    transversal form sketches: on matroid-wide, and at a hub whose
     in-degree, 304, is far above |T| * k = 4, so its slots must be sized for
     304 products, not for |T| * k."""
     wedge = IncrementalBasis.wedge
@@ -589,17 +598,20 @@ def test_certificate_images_are_projections_of_full_width_copies(
 
         with monkeypatch.context() as mp:
             mp.setattr(IncrementalBasis, "wedge", spied)
-            args, kept, full, _ = stage_filter_calls(monkeypatch, inst, 7)
-        columns, d1, d2, offered, copies = args
-        assert kept == offered and len(seen) == len(offered)
+            args, kept, _, _ = stage_filter_calls(monkeypatch, inst, 7)
+        columns, d1, d2, offered, copies, form = args
+        full = combine(standard_columns(form), copies, d1)
+        assert kept == offered and kept.path == "certified"
+        assert len(seen) == len(offered)
         for (basis, a, b), (c1, c2, _) in zip(seen, offered):
             r = basis._d1
             ref = IncrementalBasis.of_wedges(r, d2, terms=d1)
-            project = repsets._random_projector(
+            units = repsets._random_units(
                 random.Random(repsets._SKETCH_SEED), d1, r, d2, ref)
             for image, lab in ((a, c1), (b, c2)):
                 assert unstride(basis, image, r, d2) == \
-                    unstride(ref, project(full[lab]), r, d2)
+                    unstride(ref, repsets._project(units, full[lab], ref),
+                             r, d2)
     assert max(len(terms) for terms in copies.values()) == 304 > d1 * d2
 
 

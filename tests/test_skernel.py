@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (broken_core, matroid_wide, random_instance,
-                     random_multigraph, stage_filter_calls, wide_core)
-from sfvs_kernel import pipeline, skernel
+from helpers import (Scripted, broken_core, matroid_wide, random_instance,
+                     random_multigraph, singular_block, stage_filter_calls,
+                     wide_core)
+from sfvs_kernel import pipeline, repsets, skernel
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import combine, wedge3_nonzero
 from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
-                                 uniform_rep)
+                                 transversal_form, uniform_rep)
 from sfvs_kernel.generators import gnm, planted
 from sfvs_kernel.instancefile import (parse_instance, serialize_instance,
                                      write_instance)
@@ -341,15 +342,59 @@ def test_broken_core_is_caught_under_python_O(tmp_path):
         "from sfvs_kernel.cli import main\n"
         "skernel.cycle_core = broken_core\n"
         f"sys.exit(main(['kernelize', {str(path)!r}, '--stage', 'matroid']))\n")
+    run = run_optimized(script)
+    assert run.returncode == 3, run.stderr
+    assert "internal error: AssertionError: cycle core broke" in run.stderr
+
+
+def run_optimized(script):
+    """`python -O -c script` with the package and the tests importable."""
     src = str(Path(skernel.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, str(Path(__file__).resolve().parent)] +
         [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def scripted_form(values):
+    """A stand-in for skernel.transversal_form that draws from
+    Scripted(values) instead of the stage's rng."""
+    def form(d, sources, rng):
+        return transversal_form(d, sources, Scripted(values))
+    return form
+
+
+def test_singular_source_block_is_an_internal_error(tmp_path, monkeypatch):
+    inst, values = singular_block()
+    check_normalized(inst)
+    report = kernelize_by_s(inst, seed=0)
+    assert report.shortcut is None and report.n_core == 6
+    monkeypatch.setattr(skernel, "transversal_form", scripted_form(values))
+    with pytest.raises(AssertionError,
+                       match="sources always link to themselves"):
+        kernelize_by_s(inst, seed=0)
+    path = tmp_path / "in.sfvs"
+    write_instance(str(path), inst.with_pairs())
+    assert main(["kernelize", str(path), "--stage", "matroid"]) == 3
+
+
+def test_singular_source_block_is_caught_under_python_O(tmp_path):
+    inst, values = singular_block()
+    path = tmp_path / "in.sfvs"
+    write_instance(str(path), inst.with_pairs())
+    script = (
+        "import sys\n"
+        "from test_skernel import scripted_form\n"
+        "from sfvs_kernel import skernel\n"
+        "from sfvs_kernel.cli import main\n"
+        f"skernel.transversal_form = scripted_form({values!r})\n"
+        f"sys.exit(main(['kernelize', {str(path)!r}, '--stage', 'matroid']))\n")
+    run = run_optimized(script)
     assert run.returncode == 3, run.stderr
-    assert "internal error: AssertionError: cycle core broke" in run.stderr
+    assert "internal error: AssertionError: sources always link to " \
+        "themselves" in run.stderr
 
 
 # -- triples left out before the filter -----------------------------------------
@@ -378,9 +423,9 @@ def test_left_out_triples_have_zero_wedges_on_matroid_wide(monkeypatch):
     for n in (90, 100, 105):
         args, _, full, _ = stage_filter_calls(
             monkeypatch, matroid_wide(n).drop_pairs(), 5)
-        columns, d1, d2, offered, copies = args
-        assert combine(columns, copies, d1) == \
-            {lab: col for lab, col in full.items() if lab not in columns}
+        columns, d1, d2, offered, copies, form = args
+        assert combine(full, copies, d1) == \
+            {lab: col for lab, col in full.items() if lab not in form}
         columns = columns | full
         every = [triple(lab[1]) for lab in columns
                  if isinstance(lab, tuple) and lab[0] == "hat"]
@@ -408,7 +453,27 @@ def test_left_out_triples_have_zero_wedges_on_random_digraphs():
     assert left_total > 100
 
 
-# -- the stage's output, pinned -------------------------------------------------
+def test_refuted_path_filters_sparse_columns(monkeypatch):
+    """The staged planted(1000, 3, 4) refutes the certificate, and the
+    exact filter gets the gammoid in the sparse basis of
+    TransversalForm.columns(), not the standard basis on the sources, whose
+    columns are full: the exact filter's cost grows with their entries."""
+    handed = []
+    eliminate = repsets._eliminate
+
+    def spied(cols, dim):
+        handed.extend(cols)
+        return eliminate(cols, dim)
+
+    monkeypatch.setattr(repsets, "_eliminate", spied)
+    report = kernelize_by_s(staged_planted(), seed=0)
+    assert report.filter_path == "refuted" and report.instance.graph.n == 78
+    d1 = len(report.t)
+    entries = sum(1 for a, b, _ in handed for x in a + b if x)
+    assert d1 == 18 and entries < 2 * len(handed) * d1 / 3
+
+
+# -- the stage's output, pinned -----------------------------------------------
 
 
 def staged_planted(n=1000):
