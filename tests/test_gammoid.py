@@ -346,9 +346,10 @@ def test_null_images_are_sketches_of_the_dual():
             solved += any(xv[i] for xv in x)
         for v in d.vertices:
             assert images[v] == repsets._project(units, n_cols[v], basis)
-        rows = [list(r) for r in zip(*(n_cols[v] for v in d.vertices))]
-        rows2 = [list(r) for r in zip(*(dual[v] for v in d.vertices))]
         n = len(d.vertices)
-        assert FieldMatrix(rows, n).rank() == FieldMatrix(rows2, n).rank() \
-            == FieldMatrix(rows + rows2, n).rank() == form.dim
+        n_rows = [list(row) for row in zip(*(n_cols[v] for v in d.vertices))]
+        dual_rows = [list(row) for row in zip(*(dual[v] for v in d.vertices))]
+        assert FieldMatrix(n_rows, n).rank() == form.dim
+        assert FieldMatrix(dual_rows, n).rank() == form.dim
+        assert FieldMatrix(n_rows + dual_rows, n).rank() == form.dim
     assert solved > 200
