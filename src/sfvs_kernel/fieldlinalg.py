@@ -7,12 +7,15 @@ per coordinate, so a row update is one multiply and one add of whole ints.
 The basis also writes the filter's wedge products, and back-solves through
 its echelon rows the images of its null space's standard basis under a linear
 map (the dual's columns are the images under the identity), both in that
-packed form. A FieldMatrix, a list of rows of ints in [0, p), is the
-plain-matrix view (rref, rank) on the same basis; the pipeline no longer
-builds one. Everything is deterministic: elimination always picks the first
-nonzero entry as pivot. The prime is large enough that every randomized
-construction in one pipeline run stays far below any noticeable failure
-probability, and small enough that Python int products stay cheap.
+packed form. Bringing a packed vector's slots below p (canonical) costs time
+linear in the vector's own length, not in the layout's, so one wedge layout
+also serves the shorter vectors the wedges are made from. A FieldMatrix, a
+list of rows of ints in [0, p), is the plain-matrix view (rref, rank) on the
+same basis; the pipeline no longer builds one. Everything is deterministic:
+elimination always picks the first nonzero entry as pivot. The prime is large
+enough that every randomized construction in one pipeline run stays far below
+any noticeable failure probability, and small enough that Python int products
+stay cheap.
 """
 from __future__ import annotations
 
@@ -98,25 +101,6 @@ def combine(columns: Mapping[Hashable, Sequence[int]],
             acc = [a + x * c for a, c in zip(acc, columns[u])]
         out[lab] = [a % PRIME for a in acc]
     return out
-
-
-def wedge3_nonzero(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> bool:
-    """Whether a ^ b ^ c is nonzero, for a and b of length d1 and c of
-    length d2, in O(d1 + d2) and without its coordinates.
-
-    The wedge vanishes exactly when c is zero or a and b are parallel. With
-    a[i] the first nonzero entry of a, b is parallel to a iff every 2x2 minor
-    a[i] b[j] - a[j] b[i] is zero.
-    """
-    if len(a) != len(b):
-        raise ValueError("a and b must have the same length")
-    if not any(x % PRIME for x in c):
-        return False
-    i = next((i for i, x in enumerate(a) if x % PRIME), None)
-    if i is None:
-        return False
-    ai, bi = a[i], b[i]
-    return any((ai * bj - aj * bi) % PRIME for aj, bj in zip(a, b))
 
 
 class IncrementalBasis:
@@ -335,15 +319,20 @@ class IncrementalBasis:
 
     def canonical(self, v: int) -> int:
         """v with every slot reduced mod p, all slots at once; each slot of v
-        must fit its w bits.
+        must fit its w bits. The masks are cut to the slots v reaches, so a
+        short v, such as a vector packed at stride d2 in a wedge layout,
+        costs O(len(v)), not O(layout).
 
         p = 2^61 - 1, so s = 2^61 h + l is congruent to h + l. Folding each
         slot's bits above 61 onto its low 61 bits twice leaves it below
         2^61 + 2^(w - 122) + 1, which is below 2p for every w up to 182 bits
-        (every layout of fewer than 2^53 slots). The slots at or above p,
-        found as those where adding 1 reaches bit 61, then lose p.
+        (every layout of fewer than 2^53 slots). No fold lengthens v. The
+        slots at or above p, found as those where adding 1 reaches bit 61,
+        then lose p.
         """
-        ones, low, high = self._ones, self._low, self._high
+        bits = self._bits
+        cut = (1 << -(-v.bit_length() // bits) * bits) - 1
+        ones, low, high = self._ones & cut, self._low & cut, self._high & cut
         v = (v & low) + ((v >> _BITS) & high)
         v = (v & low) + ((v >> _BITS) & high)
         return v - (((v + ones) >> _BITS) & ones) * PRIME

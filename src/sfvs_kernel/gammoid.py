@@ -22,8 +22,9 @@ a second reduction of the same rows (TransversalForm.columns).
 Sink copies (vertices with another vertex's in-arcs and no out-arcs) are not
 added to the digraph: sink_copies draws each as a random combination of
 existing columns, so the elimination runs on the original vertices only, and
-the combinations are kept as coefficients until a caller builds them
-(add_sink_copies builds every one at full width).
+the combinations are kept as coefficients. The filter combines its packed
+images of the columns with them (see repsets); add_sink_copies builds every
+copy at full width, as the tests' reference.
 """
 from __future__ import annotations
 
@@ -319,10 +320,11 @@ def sink_copies(d: Digraph,
     placed on the flat spanned by N(v), a principal extension, and a random
     combination of N(v)'s columns represents it with probability
     1 - O(n/p). Only the coefficients are drawn here, so the copies cost no
-    column of the elimination behind the gammoid, and a filter that needs
-    only their images under a linear map builds them at full width only if
-    it must (see repsets). Coefficients are drawn vertex by vertex in d's
-    order, ("c1", v) before ("c2", v), in-neighbours in d's order.
+    column of the elimination behind the gammoid, and a filter that reads
+    their images under a linear map combines the columns' images and never
+    builds a copy as a list (see repsets). Coefficients are drawn vertex by
+    vertex in d's order, ("c1", v) before ("c2", v), in-neighbours in d's
+    order.
     """
     preds: list[list[Hashable]] = [[] for _ in d.vertices]
     for u, ws in enumerate(d.succ):
@@ -339,8 +341,8 @@ def add_sink_copies(rep: MatroidRep, d: Digraph,
                     rng: random.Random) -> MatroidRep:
     """rep, a representation of d's gammoid (ground: all of d's vertices),
     extended by the columns of sink_copies(d, rng) built at full width by
-    fieldlinalg.combine, the routine the filter's fallback builds them
-    with. The original columns are kept as they are."""
+    fieldlinalg.combine: the reference the tests hold the filter's packed
+    combinations to. The original columns are kept as they are."""
     width = len(next(iter(rep.columns.values()), ()))
     return MatroidRep(rep.columns | combine(rep.columns, sink_copies(d, rng),
                                             width))

@@ -14,41 +14,41 @@ A first-block vector may be given as a linear combination of other vectors
 rather than written out (the matroid stage's sink copies are), and first-block
 vectors may be given implicitly, by an object that gives their images under a
 linear map and writes them out only on request (the matroid stage's gammoid
-columns are: see gammoid.TransversalForm). A certificate is tried first,
-without writing any of them out. The m wedges a^b^c are projected by one
-random r x d1 matrix U to (Ua)^(Ub)^c, which has only C(r,2)*d2 coordinates,
-with r the least value for which that is at least m (at most d1). U is
-linear, so the image of a combination sum x_u col_u is sum x_u (U col_u):
-each given vector is projected once, each implicit one's image is given, and
-no combination is built at full width. The projection w -> (Lambda^2 U (x) I) w
-is linear too, so a dependent family of wedges, or one with a zero wedge, has
-a dependent image; if the m projected wedges are independent, so are the
+columns are: see gammoid.TransversalForm). The streaming pass (_accepted)
+reads each given vector's packed image under a linear map L once, and the
+image of a combination sum x_u col_u is sum x_u (L col_u), so no combination
+is built as a list. A zero wedge comes out as 0, which the basis refuses like
+any dependent wedge. A certificate is tried first, with L one random r x d1
+matrix U, so each wedge a^b^c becomes (Ua)^(Ub)^c, of only C(r,2)*d2
+coordinates, with r the least value for which that is at least m, the number
+of triples (at most d1). The projection w -> (Lambda^2 U (x) I) w is linear
+too, so a dependent family of wedges, or one with a zero wedge, has a
+dependent image; if the m projected wedges are independent, so are the
 wedges, and the streaming pass would keep exactly those m triples, which are
 returned directly. Only when the certificate fails, or m exceeds the wedge
-space dimension, are the implicit vectors written out (possibly in another
-basis of their span: an invertible change of first-block basis changes no
-wedge's dependence on the others) and the combinations built at full width;
-the triples with a zero wedge, found by 2x2 minors alone, are dropped, and
-the streaming pass runs once over the rest. Either way the result is exact:
-the projection's draws decide only how long the filter takes, so it adds no
-failure probability and needs no caller's randomness. Wedges sharing a factor
-v span a space that the projection maps into (Uv)^F^r(x)F^d2, of dimension
-(r-1)*d2, so a large such "star" family can refute the certificate although
-it is independent; it then pays for the exact pass. The kept list records
-which of the three paths settled it (Kept.path).
+space dimension, does the exact pass run, with L the identity: the implicit
+vectors are written out (possibly in another basis of their span: an
+invertible change of first-block basis changes no wedge's dependence on the
+others). Either way the result is exact: the projection's draws decide only
+how long the filter takes, so it adds no failure probability and needs no
+caller's randomness. Wedges sharing a factor v span a space that the
+projection maps into (Uv)^F^r(x)F^d2, of dimension (r-1)*d2, so a large such
+"star" family can refute the certificate although it is independent; it then
+pays for the exact pass. The kept list records which of the three paths
+settled it (Kept.path).
 """
 from __future__ import annotations
 
 import random
-from collections import ChainMap
+from functools import cache
+from itertools import compress, islice
 from math import comb
 from operator import mul
-from typing import (Callable, Hashable, Iterable, Mapping, Optional, Protocol,
-                    Sequence)
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping, Optional,
+                    Protocol, Sequence)
 
-from .fieldlinalg import PRIME, IncrementalBasis, combine, wedge3_nonzero
+from .fieldlinalg import PRIME, IncrementalBasis
 
-Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 Triple = tuple[Hashable, Hashable, Hashable]
 Combinations = Mapping[Hashable, Sequence[tuple[Hashable, int]]]
 
@@ -92,10 +92,10 @@ def representative_triples(columns: Mapping[Hashable, Sequence[int]],
     `columns` maps each label to its vector over F_p, entries any ints;
     `implicit` holds further first-block vectors that are not written out,
     and `combinations` maps further labels to first-block vectors given as
-    combinations [(u, x), ...], the sum of x * (u's vector). The first two
-    labels of a triple must name vectors of length d1, in any of the three,
-    and the third a vector of length d2 in `columns`. Triples with a zero or
-    dependent wedge are dropped.
+    combinations [(u, x), ...], the sum of x * (u's vector), x below p. The
+    first two labels of a triple must name vectors of length d1, in any of
+    the three, and the third a vector of length d2 in `columns`. Triples
+    with a zero or dependent wedge are dropped.
     """
     combinations = combinations or {}
     if implicit is not None and implicit.dim != d1:
@@ -112,20 +112,39 @@ def representative_triples(columns: Mapping[Hashable, Sequence[int]],
                                             d1, d2, implicit):
         kept = Kept(triples, "certified")
     else:
-        written = ChainMap(columns, implicit.columns() if implicit else {})
-        built = combine(written, {lab: combinations[lab] for tr in triples
-                                  for lab in tr[:2] if lab in combinations},
-                        d1)
-        vectors = ChainMap(built, written)
-        cols = [(vectors[a], vectors[b], vectors[c]) for a, b, c in triples]
-        live = [i for i, (a, b, c) in enumerate(cols)
-                if wedge3_nonzero(a, b, c)]
-        kept = Kept((triples[live[j]]
-                     for j in _eliminate([cols[i] for i in live], dim)),
+        kept = Kept(_exact(columns, combinations, triples, d1, d2, implicit),
                     "refuted" if len(triples) <= dim else "no-sketch")
     if len(kept) > dim:
         raise AssertionError("kept wedges exceed the wedge space dimension")
     return kept
+
+
+def _accepted(basis: IncrementalBasis, image_of: Callable[[Hashable], int],
+              columns: Mapping[Hashable, Sequence[int]],
+              combinations: Combinations, triples: Sequence[Triple]
+              ) -> Iterator[bool]:
+    """The streaming pass: for each triple in turn, whether `basis` took its
+    wedge image(a) ^ image(b) ^ c. image_of(u) packs the image of a given
+    first-block vector at the second block's stride, once per label, and a
+    combination's image is the same combination of those images."""
+    given = cache(image_of)
+
+    def image(lab: Hashable) -> int:
+        if lab not in combinations:
+            return given(lab)
+        return basis.canonical(sum(x * given(u)
+                                   for u, x in combinations[lab]))
+
+    for a, b, c in triples:
+        yield basis.add_packed(basis.wedge(image(a), image(b),
+                                           basis.pack(columns[c])))
+
+
+def _longest(combinations: Combinations, triples: Sequence[Triple]) -> int:
+    """The most terms in a combination that a triple names: the slots of
+    the streaming pass's basis must fit a sum of that many products."""
+    return max((len(combinations[lab]) for tr in triples for lab in tr[:2]
+                if lab in combinations), default=0)
 
 
 def _independent(columns: Mapping[Hashable, Sequence[int]],
@@ -135,9 +154,8 @@ def _independent(columns: Mapping[Hashable, Sequence[int]],
     """True if the wedges of the triples are certainly linearly independent:
     their projected wedges (Ua)^(Ub)^c are, for one random r x d1 matrix U
     with the least r such that C(r,2)*d2 >= len(triples), at most d1. Each
-    vector of `columns` is projected once, the vectors of `implicit` give
-    their images themselves, and a combination's image is the same
-    combination of those images. False means the projected wedges were
+    vector of `columns` is projected once, and the vectors of `implicit`
+    give their images themselves. False means the projected wedges were
     dependent, which a zero wedge or dependent wedges always give, and
     independent wedges give by chance or when many of them share a factor."""
     m = len(triples)
@@ -146,29 +164,30 @@ def _independent(columns: Mapping[Hashable, Sequence[int]],
     r = next((r for r in range(2, d1) if comb(r, 2) * d2 >= m), d1)
     # a slot sums d1 products in a projection, one per term in a
     # combination, and up to len(implicit) in an implicit vector's image
-    terms = max([d1, len(implicit or ())] + [
-        len(combinations[lab]) for tr in triples
-        for lab in tr[:2] if lab in combinations])
+    terms = max(d1, len(implicit or ()), _longest(combinations, triples))
     basis = IncrementalBasis.of_wedges(r, d2, terms=terms)
     units = _random_units(random.Random(_SKETCH_SEED), d1, r, d2, basis)
-    images: dict[Hashable, int] = {}
-    if implicit is not None:
-        images.update(implicit.images(units, basis.canonical))
+    images = {} if implicit is None else implicit.images(units,
+                                                         basis.canonical)
+    return all(_accepted(basis, lambda u: images[u] if u in images
+                         else _project(units, columns[u], basis),
+                         columns, combinations, triples))
 
-    def projected(u: Hashable) -> int:
-        if u not in images:
-            images[u] = _project(units, columns[u], basis)
-        return images[u]
 
-    def image(lab: Hashable) -> int:
-        if lab not in combinations:
-            return projected(lab)
-        return basis.canonical(sum(x * projected(u)
-                                   for u, x in combinations[lab]))
-
-    return all(basis.add_packed(basis.wedge(image(a), image(b),
-                                            basis.pack(columns[c])))
-               for a, b, c in triples)
+def _exact(columns: Mapping[Hashable, Sequence[int]],
+           combinations: Combinations, triples: Sequence[Triple],
+           d1: int, d2: int, implicit: Optional[Implicit] = None
+           ) -> list[Triple]:
+    """The streaming pass with every first-block vector written out (the
+    implicit ones by implicit.columns()) and packed at stride d2. It stops
+    at the C(d1,2)*d2-th kept triple, whose wedge fills the wedge space, so
+    no later wedge is written out."""
+    basis = IncrementalBasis.of_wedges(d1, d2,
+                                       terms=_longest(combinations, triples))
+    written = {**columns, **(implicit.columns() if implicit else {})}
+    accepted = _accepted(basis, lambda u: basis.pack(written[u], d2),
+                         columns, combinations, triples)
+    return list(islice(compress(triples, accepted), comb(d1, 2) * d2))
 
 
 def _random_units(rng: random.Random, dim: int, count: int, stride: int,
@@ -192,21 +211,3 @@ def _project(units: Sequence[int], v: Sequence[int],
     if v and (min(v) < 0 or max(v) >= PRIME):
         v = [x % PRIME for x in v]
     return basis.canonical(sum(map(mul, units, v)))
-
-
-def _eliminate(cols: list[Columns], dim: int) -> list[int]:
-    """The streaming filter: indices of the cols whose wedge is independent
-    of the wedges kept before it. Once `dim` wedges are kept they span the
-    wedge space, so every later one is dependent and none is written out."""
-    if not cols:
-        return []
-    d1, d2 = len(cols[0][0]), len(cols[0][2])
-    basis = IncrementalBasis.of_wedges(d1, d2)
-    kept = []
-    for i, (a, b, c) in enumerate(cols):
-        if len(basis) == dim:
-            break
-        if basis.add_packed(basis.wedge(basis.pack(a, d2), basis.pack(b, d2),
-                                        basis.pack(c))):
-            kept.append(i)
-    return kept

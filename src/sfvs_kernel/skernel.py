@@ -24,10 +24,11 @@ column of T, which is checked on every call. The direct sum is never built:
 the filter gets the transversal form, each sink copy as its drawn
 coefficients, and the uniform columns (see repsets). Its certificate reads
 only the images of the gammoid's columns under a small random map,
-back-solved through the echelon rows, so the dual is read, and the copies
-built at full width, only for the exact fallback. A vertex with at most one
-in-neighbour has sink copies that are multiples of one column, so its triple
-has a zero wedge, which the filter would drop; it is left out beforehand.
+back-solved through the echelon rows, so the dual is read only for the exact
+fallback, which packs each column once and combines the copies from those,
+as the certificate combines images. A vertex with at most one in-neighbour
+has sink copies that are multiples of one column, so its triple has a zero
+wedge, which the filter would drop; it is left out beforehand.
 Fails (as in: may keep a wrong subfamily) only with the tiny probability that
 a random matrix misrepresents the gammoid. The representative-set filter adds
 no failure probability: its random sketch decides only how fast it runs, not

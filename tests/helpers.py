@@ -1,13 +1,12 @@
 """Shared builders and exhaustive reference oracles for the test suite."""
 import itertools
 import random
-from math import comb
 from typing import Optional
 
 import networkx as nx
 
 from sfvs_kernel import repsets, skernel
-from sfvs_kernel.fieldlinalg import PRIME, wedge3_nonzero
+from sfvs_kernel.fieldlinalg import PRIME, IncrementalBasis
 from sfvs_kernel.gammoid import MatroidRep, add_sink_copies
 from sfvs_kernel.generators import gnm
 from sfvs_kernel.multigraph import (Instance, Multigraph, PairInstance, is_solution,
@@ -387,16 +386,42 @@ def stage_filter_calls(monkeypatch, inst, seed):
     return seen["args"], seen["kept"], full.columns, dg
 
 
-def full_width_filter(columns, d1, d2, triples):
-    """The reference for combinations: the filter on vectors all built at
-    full width, with triples whose wedge is zero dropped by 2x2 minors
-    first, then the certificate on the rest, then the streaming filter if
-    the certificate failed."""
-    cols = [(columns[a], columns[b], columns[c]) for a, b, c in triples]
-    live = [i for i, (a, b, c) in enumerate(cols) if wedge3_nonzero(a, b, c)]
-    dim = comb(d1, 2) * d2
-    if len(live) <= dim and repsets._independent(
-            columns, {}, [triples[i] for i in live], d1, d2):
-        return [triples[i] for i in live]
-    return [triples[live[j]]
-            for j in repsets._eliminate([cols[i] for i in live], dim)]
+def exact_filter(columns, d1, d2, triples):
+    """The streaming filter with no certificate: every wedge written out and
+    reduced against the basis of the wedges kept before it. The reference
+    for the filter on vectors all given at full width."""
+    basis = IncrementalBasis()
+    kept = []
+    for a, b, c in triples:
+        if [len(columns[x]) for x in (a, b, c)] != [d1, d1, d2]:
+            raise ValueError("vector lengths must match the two block dimensions")
+        vec = wedge3_coordinates(columns[a], columns[b], columns[c])
+        if any(vec) and basis.add(vec):
+            kept.append((a, b, c))
+    return kept
+
+
+def exact_pass_wedges(monkeypatch):
+    """Spy on the filter's exact pass: a list that gets one list per call of
+    repsets._exact, holding (basis, a, b, wedge) for each wedge the call
+    writes, with a and b the packed first-block images."""
+    calls, active = [], []
+    exact, wedge = repsets._exact, IncrementalBasis.wedge
+
+    def spied_exact(*args):
+        calls.append([])
+        active.append(True)
+        try:
+            return exact(*args)
+        finally:
+            active.pop()
+
+    def spied_wedge(self, a, b, c):
+        w = wedge(self, a, b, c)
+        if active:
+            calls[-1].append((self, a, b, w))
+        return w
+
+    monkeypatch.setattr(repsets, "_exact", spied_exact)
+    monkeypatch.setattr(IncrementalBasis, "wedge", spied_wedge)
+    return calls

@@ -613,6 +613,44 @@ def test_packed_basis_slot_takes_the_largest_updates(ncols):
         assert_matches_ref(rows, [probe])
 
 
+def full_mask_fold(basis, v):
+    """canonical with the masks of every slot of the layout, none cut."""
+    ones, low, high = basis._ones, basis._low, basis._high
+    bits = PRIME.bit_length()
+    v = (v & low) + ((v >> bits) & high)
+    v = (v & low) + ((v >> bits) & high)
+    return v - (((v + ones) >> bits) & ones) * PRIME
+
+
+@pytest.mark.parametrize("layout", [(1, 0), (9, 0), (40, 300), ("wedges", 7, 3)],
+                         ids=["1-slot", "9-slot", "40-of-300-slot", "wedge-7x3"])
+def test_canonical_of_a_short_vector_matches_the_full_masks(layout):
+    """canonical cuts its masks to the slots v reaches: for packed ints of
+    every length from 0 to the layout's slot count, with zero slots, slots
+    at their largest value 2^w - 1, at p - 1 and p, and a nonzero top slot,
+    it equals the fold with the layout's full masks and reduces every slot
+    mod p."""
+    if layout[0] == "wedges":
+        basis = IncrementalBasis.of_wedges(*layout[1:])
+        slots = comb(7, 2) * 3          # more than the 7 * 3 of a and b
+    else:
+        basis = IncrementalBasis()
+        basis._layout(*layout)
+        slots = max(layout)
+    bits, rng = basis._bits, random.Random(slots)
+    largest = (1 << bits) - 1
+    for length in range(slots + 1):
+        for trial in range(3):
+            values = [rng.choice((0, largest, PRIME - 1, PRIME,
+                                  rng.randrange(1 << bits)))
+                      for _ in range(length)]
+            if values:
+                values[-1] = (largest, PRIME, rng.randrange(1, 1 << bits))[trial]
+            v = sum(x << j * bits for j, x in enumerate(values))
+            want = sum(x % PRIME << j * bits for j, x in enumerate(values))
+            assert basis.canonical(v) == full_mask_fold(basis, v) == want
+
+
 def test_packed_basis_empty_vector():
     basis = IncrementalBasis()
     assert not basis.add([])

@@ -5,14 +5,14 @@ from math import comb
 
 import pytest
 
-from helpers import (check_representative, matroid_wide, petal_hub,
-                     random_block_matroid, random_multigraph,
-                     stage_filter_calls, standard_columns, full_width_filter,
+from helpers import (check_representative, exact_filter, exact_pass_wedges,
+                     matroid_wide, petal_hub, random_block_matroid,
+                     random_multigraph, stage_filter_calls, standard_columns,
                      unstride, wedge3_coordinates, wide_core)
 from sfvs_kernel import pipeline, repsets
 from sfvs_kernel.cli import main
 from sfvs_kernel.fieldlinalg import (PRIME, FieldMatrix, IncrementalBasis,
-                                     combine, wedge3_nonzero)
+                                     combine)
 from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
                                  sink_copies, uniform_rep)
 from sfvs_kernel.generators import gnm
@@ -67,39 +67,25 @@ def test_row_count_mismatch_rejected():
 # -- the certificate against the exact streaming filter ------------------------
 
 
-def exact_filter(columns, d1, d2, triples):
-    """The streaming filter with no certificate: every wedge written out and
-    reduced against the basis of the wedges kept before it."""
-    basis = IncrementalBasis()
-    kept = []
-    for a, b, c in triples:
-        if [len(columns[x]) for x in (a, b, c)] != [d1, d1, d2]:
-            raise ValueError("vector lengths must match the two block dimensions")
-        vec = wedge3_coordinates(columns[a], columns[b], columns[c])
-        if any(vec) and basis.add(vec):
-            kept.append((a, b, c))
-    return kept
-
-
 @pytest.fixture
 def paths(monkeypatch):
     """Count how each call of the filter was settled: `certified`,
     `refuted` (the sketch found a dependent image row) and `exact` (the
-    streaming filter ran)."""
+    exact streaming pass ran)."""
     seen = Counter()
-    independent, eliminate = repsets._independent, repsets._eliminate
+    independent, exact = repsets._independent, repsets._exact
 
     def counted_independent(*args):
         ok = independent(*args)
         seen["certified" if ok else "refuted"] += 1
         return ok
 
-    def counted_eliminate(*args):
+    def counted_exact(*args):
         seen["exact"] += 1
-        return eliminate(*args)
+        return exact(*args)
 
     monkeypatch.setattr(repsets, "_independent", counted_independent)
-    monkeypatch.setattr(repsets, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(repsets, "_exact", counted_exact)
     return seen
 
 
@@ -127,7 +113,7 @@ def test_independent_wedges_are_certified(paths, monkeypatch):
                     ("x0", "x1", "x2"), ("y0", "y1"))
     triples = [("x0", "x1", "y0"), ("x0", "x2", "y1"), ("x1", "x2", "y0"),
                ("x0", "x1", "y1")]
-    monkeypatch.setattr(repsets, "_eliminate", None)   # must not be reached
+    monkeypatch.setattr(repsets, "_exact", None)   # must not be reached
     assert representative_triples(rep, 3, 2, triples) == triples
     assert paths["certified"] == 1
 
@@ -188,25 +174,22 @@ def test_each_kind_of_zero_wedge_is_dropped(paths, monkeypatch):
     live = [("x0", "x1", "y0"), ("x1", "x3", "y2"), ("x0", "x3", "y0")]
     triples = [zero[0], live[0], zero[1], zero[2], live[1], zero[3], live[2]]
     for a, b, c in zero:
-        assert not wedge3_nonzero(rep[a], rep[b], rep[c])
-    handed = []
-    eliminate = repsets._eliminate
-
-    def spied(cols, dim):
-        handed.append(cols)
-        return eliminate(cols, dim)
-
-    monkeypatch.setattr(repsets, "_eliminate", spied)
+        assert not any(wedge3_coordinates(rep[a], rep[b], rep[c]))
+    handed = exact_pass_wedges(monkeypatch)
     # 7 triples in dimension 3 skip the sketch; 3 of them, one with a zero
     # wedge, project to a dependent family
-    assert representative_triples(rep, 3, 1, triples) == live
-    assert representative_triples(rep, 3, 1,
-                                  [live[0], zero[3], live[1]]) == live[:2]
+    offered = (triples, [live[0], zero[3], live[1]])
+    assert representative_triples(rep, 3, 1, offered[0]) == live
+    assert representative_triples(rep, 3, 1, offered[1]) == live[:2]
     assert exact_filter(rep, 3, 1, triples) == live
     assert paths == Counter(refuted=1, exact=2)
-    # the streaming filter gets only the nonzero wedges
-    assert handed == [[(rep[a], rep[b], rep[c]) for a, b, c in want]
-                      for want in (live, live[:2])]
+    # the exact pass writes each zero wedge as the int 0, which the basis
+    # refuses, and each nonzero one as its coordinates
+    assert [[0 if not w else basis._unpack(basis.canonical(w))
+             for basis, _, _, w in call] for call in handed] == \
+        [[0 if (a, b, c) in zero else
+          wedge3_coordinates(rep[a], rep[b], rep[c]) for a, b, c in want]
+         for want in offered]
 
 
 def test_same_triples_after_an_invertible_change_of_first_block_basis(paths):
@@ -277,7 +260,11 @@ def test_zero_wedge_predicate_matches_coordinates():
             c = [x - PRIME for x in c]
         elif kind == 3:                         # a zero or c zero
             a, c = (a, [0] * len(c)) if rng.random() < 0.5 else ([0] * len(a), c)
-        got = wedge3_nonzero(a, b, c)
+        # the first block packed at stride d2; at d2 = 0 the wedge space is
+        # {0} and wedge reads no vector
+        basis = IncrementalBasis.of_wedges(d1, d2)
+        got = basis.wedge(basis.pack(a, max(d2, 1)), basis.pack(b, max(d2, 1)),
+                          basis.pack(c)) != 0
         assert got == any(wedge3_coordinates(a, b, c))
         kinds[got] += 1
     assert kinds[True] > 50 and kinds[False] > 50
@@ -291,12 +278,6 @@ def test_malformed_blocks_are_rejected_on_every_path(monkeypatch):
            [("x0", "x1", "y0"), ("x1", "w", "y0")],
            [("x0", "x1", "y0"), ("x0", "x2", "y0"), ("x0", "x1", "w")],
            [("y0", "x0", "y0")], [("x0", "x1", "y0"), ("x0", "x1", "x2")]]
-    with pytest.raises(ValueError):
-        wedge3_nonzero([1, 0, 1], [0, 1], [1])
-    with pytest.raises(ValueError):
-        wedge3_nonzero([1], [0, 1], [1, 0, 1])
-    with pytest.raises(ValueError):
-        wedge3_nonzero([1, 0], [0, 1, 0], [0, 0, 1])
     for triples in bad:
         with pytest.raises(ValueError):
             representative_triples(rep, 2, 1, triples)
@@ -310,13 +291,27 @@ def random_vec(rng, n):
     return [rng.randrange(PRIME) for _ in range(n)]
 
 
-def certify(cols):
-    """The certificate on triples of explicit vectors."""
+def labelled(cols):
+    """Triples of explicit vectors as labels, the vectors by label, d1 and
+    d2."""
     labels = [((i, 0), (i, 1), (i, 2)) for i in range(len(cols))]
     columns = {lab: vec for tr, vecs in zip(labels, cols)
                for lab, vec in zip(tr, vecs)}
-    d1, d2 = len(cols[0][0]), len(cols[0][2])
+    return columns, labels, len(cols[0][0]), len(cols[0][2])
+
+
+def certify(cols):
+    """The certificate on triples of explicit vectors."""
+    columns, labels, d1, d2 = labelled(cols)
     return repsets._independent(columns, {}, labels, d1, d2)
+
+
+def exact_pass(cols):
+    """The indices of the triples of explicit vectors that the exact pass
+    keeps."""
+    columns, labels, d1, d2 = labelled(cols)
+    return [labels.index(tr)
+            for tr in repsets._exact(columns, {}, labels, d1, d2)]
 
 
 def fresh_family(rng, d1, d2, m):
@@ -353,8 +348,8 @@ def test_dependent_families_never_certify():
                      [nu * z % PRIME for z in c])
         cols.insert(rng.randint(0, len(cols)), extra)
         rng.shuffle(cols)
-        assert all(wedge3_nonzero(*t) for t in cols)
-        assert len(repsets._eliminate(cols, dim)) < len(cols) <= dim
+        assert all(any(wedge3_coordinates(*t)) for t in cols)
+        assert len(exact_pass(cols)) < len(cols) <= dim
         assert not certify(cols)
     assert min(kinds.values()) > 40
 
@@ -367,7 +362,7 @@ def test_certificate_agrees_with_exact_filter_on_independent_families():
         # m = dim projects by a full d1 x d1 matrix; smaller m by r < d1 rows
         m = rng.choice((1, dim, rng.randint(1, dim)))
         cols = fresh_family(rng, d1, d2, m)
-        assert repsets._eliminate(cols, dim) == list(range(m))
+        assert exact_pass(cols) == list(range(m))
         assert certify(cols)
 
 
@@ -435,7 +430,7 @@ def test_matroid_wide_inputs_need_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("the dual was read or the exact filter ran")
 
-    monkeypatch.setattr(repsets, "_eliminate", refuse)
+    monkeypatch.setattr(repsets, "_exact", refuse)
     monkeypatch.setattr(IncrementalBasis, "dual_columns", refuse)
     for n, kept in ((90, 47), (100, 55), (105, 54)):
         report = kernelize_by_s(matroid_wide(n).drop_pairs(), seed=3)
@@ -533,7 +528,7 @@ def test_combinations_keep_the_full_width_triples_in_the_matroid_stage(paths,
         args, kept, full, dg = stage_filter_calls(monkeypatch, inst, seed)
         settled[name] = (kept.path, paths - before)
         columns, d1, d2, offered, copies, _ = args
-        assert kept == full_width_filter(columns | full, d1, d2, offered), name
+        assert kept == exact_filter(columns | full, d1, d2, offered), name
         shape[name] = (d1, d2, len(offered),
                        max((len(copies[a]) for a, _, _ in offered), default=0))
     certified = ("certified", Counter(certified=1))
@@ -576,7 +571,7 @@ def test_combinations_keep_the_full_width_triples_on_random_digraphs(paths):
                                      copies)
         if len(t) == 2 and paths["certified"] > before:
             sizes["certified with |T| = 2"] += 1
-        assert got == full_width_filter(full.columns | hats, len(t), k, offered)
+        assert got == exact_filter(full.columns | hats, len(t), k, offered)
     assert sizes["certified with |T| = 2"] > 5
     assert paths["certified"] > 20 and paths["refuted"] > 5
 

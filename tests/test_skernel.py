@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Scripted, broken_core, matroid_wide, random_instance,
-                     random_multigraph, singular_block, stage_filter_calls,
+from helpers import (Scripted, broken_core, exact_pass_wedges, matroid_wide,
+                     random_instance, random_multigraph, singular_block,
+                     stage_filter_calls, unstride, wedge3_coordinates,
                      wide_core)
-from sfvs_kernel import pipeline, repsets, skernel
+from sfvs_kernel import pipeline, skernel
 from sfvs_kernel.cli import main
-from sfvs_kernel.fieldlinalg import combine, wedge3_nonzero
+from sfvs_kernel.fieldlinalg import combine
 from sfvs_kernel.gammoid import (add_sink_copies, bidirected, represent,
                                  transversal_form, uniform_rep)
 from sfvs_kernel.generators import gnm, planted
@@ -410,9 +411,10 @@ def check_left_out(columns, d1, d2, every, offered):
     were left out and how many triples of `every` have a zero wedge."""
     left = [tr for tr in every if tr not in set(offered)]
     for a, b, c in left:
-        assert not wedge3_nonzero(columns[a], columns[b], columns[c])
+        assert not any(wedge3_coordinates(columns[a], columns[b], columns[c]))
     zero = sum(1 for a, b, c in every
-               if not wedge3_nonzero(columns[a], columns[b], columns[c]))
+               if not any(wedge3_coordinates(columns[a], columns[b],
+                                             columns[c])))
     assert representative_triples(columns, d1, d2, offered) == \
         representative_triples(columns, d1, d2, every)
     return len(left), zero
@@ -455,21 +457,18 @@ def test_left_out_triples_have_zero_wedges_on_random_digraphs():
 
 def test_refuted_path_filters_sparse_columns(monkeypatch):
     """The staged planted(1000, 3, 4) refutes the certificate, and the
-    exact filter gets the gammoid in the sparse basis of
+    exact pass gets the gammoid in the sparse basis of
     TransversalForm.columns(), not the standard basis on the sources, whose
-    columns are full: the exact filter's cost grows with their entries."""
-    handed = []
-    eliminate = repsets._eliminate
-
-    def spied(cols, dim):
-        handed.extend(cols)
-        return eliminate(cols, dim)
-
-    monkeypatch.setattr(repsets, "_eliminate", spied)
+    columns are full: the exact pass's cost grows with their entries. The
+    entries counted are the nonzero slots of the packed sink copies that
+    the exact pass wedges."""
+    calls = exact_pass_wedges(monkeypatch)
     report = kernelize_by_s(staged_planted(), seed=0)
     assert report.filter_path == "refuted" and report.instance.graph.n == 78
     d1 = len(report.t)
-    entries = sum(1 for a, b, _ in handed for x in a + b if x)
+    [handed] = calls
+    entries = sum(1 for basis, a, b, _ in handed for v in (a, b)
+                  for x in unstride(basis, v, d1, basis._d2) if x)
     assert d1 == 18 and entries < 2 * len(handed) * d1 / 3
 
 
